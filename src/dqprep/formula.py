@@ -72,6 +72,9 @@ class Prefix:
 
     universals: frozenset[int] = frozenset()
     existentials: Mapping[int, frozenset[int]] = field(default_factory=dict)
+    # every quantified variable; computed once, since it is consulted
+    # for every literal that is checked against the prefix
+    variables: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         universals = frozenset(int(v) for v in self.universals)
@@ -93,10 +96,7 @@ class Prefix:
                     f"dependencies of {var} are not universal: {sorted(stray)}")
         object.__setattr__(self, "universals", universals)
         object.__setattr__(self, "existentials", existentials)
-
-    @property
-    def variables(self) -> frozenset[int]:
-        return self.universals | frozenset(self.existentials)
+        object.__setattr__(self, "variables", universals | frozenset(existentials))
 
     def __contains__(self, var: int) -> bool:
         return var in self.universals or var in self.existentials

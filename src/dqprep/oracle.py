@@ -2,7 +2,7 @@
 
 Two independent decision procedures are provided so they can check each
 other: `solve_brute` enumerates candidate Skolem function tuples, and
-`solve_expansion` expands the universals away and runs a plain recursive
+`solve_expansion` expands the universals away and runs a plain DPLL
 propositional search. Equivalence and implication compare the full sets
 of Skolem functions, not just verdicts.
 
@@ -267,7 +267,7 @@ def solve_expansion(formula: Dqbf, limit: int = DEFAULT_BUDGET) -> SolveResult:
     """Decide satisfiability by instantiating every existential as one
     fresh propositional variable per assignment of its dependency set,
     expanding the matrix over all universal assignments, and running a
-    recursive decision procedure with unit propagation."""
+    DPLL search with unit propagation."""
     universals = sorted(formula.prefix.universals)
     n = len(universals)
     if n > limit or (1 << n) * max(1, len(formula.matrix)) > (1 << limit):
@@ -307,17 +307,32 @@ def solve_expansion(formula: Dqbf, limit: int = DEFAULT_BUDGET) -> SolveResult:
 
 
 def _dpll(clauses: list[frozenset[int]]) -> bool:
-    while True:
-        if any(not c for c in clauses):
-            return False
-        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        clauses = [c - {-unit} for c in clauses if unit not in c]
-    if not clauses:
-        return True
-    branch = min((l for c in clauses for l in c), key=abs)
-    for lit in (branch, -branch):
-        if _dpll([c - {-lit} for c in clauses if lit not in c]):
+    # depth-first search over an explicit stack, so the depth of the
+    # search is not bounded by the interpreter's recursion limit. Each
+    # entry is a clause list simplified by the decisions above it and the
+    # decision to apply next; a branch's list is only built if the
+    # branch is explored
+    stack: list[tuple[list[frozenset[int]], int | None]] = [(clauses, None)]
+    while stack:
+        clauses, decision = stack.pop()
+        if decision is not None:
+            clauses = _assign(clauses, decision)
+        while clauses and all(clauses):
+            unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
+            if unit is None:
+                break
+            clauses = _assign(clauses, unit)
+        if not clauses:
             return True
+        if not all(clauses):
+            continue  # an empty clause: this branch is refuted
+        branch = min((l for c in clauses for l in c), key=abs)
+        stack.append((clauses, -branch))
+        stack.append((clauses, branch))  # tried first
     return False
+
+
+def _assign(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]]:
+    # drop satisfied clauses and the falsified literal; untouched clauses
+    # are shared with the parent list
+    return [c - {-lit} if -lit in c else c for c in clauses if lit not in c]

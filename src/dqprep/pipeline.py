@@ -22,7 +22,7 @@ from . import oracle
 from .dqdimacs import emit_dqdimacs
 from .errors import BudgetError, ContractViolation, VerificationError
 from .formula import TAUTOLOGY, Dqbf, Prefix, literal_key, normalize_clause
-from .propagation import (PropagationOutcome, unit_propagate, universal_reduce,
+from .propagation import (PropagationOutcome, unit_propagate,
                           universal_reduce_clause)
 from .reports import PassReport
 from .techniques import (DEFAULT_VIVIFY_BUDGET, dqrat_eliminate_pass,
@@ -68,10 +68,12 @@ class PipelineConfig:
 
 def _run_ur(formula: Dqbf) -> tuple[Dqbf, PassReport, None]:
     report = PassReport("ur")
-    after = universal_reduce(formula)
-    report.clauses_shortened = sum(
-        1 for c in formula.matrix
-        if universal_reduce_clause(formula.prefix, c) != c)
+    reduced = []
+    for clause in formula.matrix:
+        shorter = universal_reduce_clause(formula.prefix, clause)
+        report.clauses_shortened += len(shorter) < len(clause)
+        reduced.append(shorter)
+    after = Dqbf(formula.prefix, tuple(reduced))
     report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
     if () in after.matrix and () not in formula.matrix:
         report.conflicts = 1

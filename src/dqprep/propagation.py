@@ -6,12 +6,23 @@ whenever a clause is shortened, universal literals that no remaining
 existential literal of the clause depends on are deleted as well. A
 clause left with only such literals collapses to the empty clause, so a
 universal unit clause is a conflict rather than an assignment.
+
+Propagation runs on a ClauseStore: a mutable copy of a matrix with
+occurrence lists and a trail of processed literals. Every probe of the
+preprocessing passes runs on the one store its pass builds: it pushes
+assumptions, propagates under a set of abstracted universals, reads the
+trail and undoes it, so a probe costs what it propagates rather than
+the size of the matrix, and rewrites are committed to the store in
+place. Dqbf stays the immutable boundary type: `unit_propagate` and the
+public probes accept a Dqbf and build a store from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation
@@ -42,15 +53,18 @@ class PropagationOutcome:
     steps: int = 0
 
 
-def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]]) -> Clause:
+def _reduce(clause: Sequence[int], existentials: Mapping[int, frozenset[int]],
+            abstracted: frozenset[int] = frozenset()) -> Clause:
     # keep existential literals and universal literals some existential
-    # literal of the clause depends on; drop the rest
+    # literal of the clause depends on; drop the rest. An abstracted
+    # universal counts as an existential with an empty dependency set.
     support: set[int] = set()
     for lit in clause:
         deps = existentials.get(abs(lit))
         if deps is not None:
             support.update(deps)
-    return tuple(l for l in clause if abs(l) in existentials or abs(l) in support)
+    return tuple(l for l in clause if abs(l) in existentials
+                 or abs(l) in abstracted or abs(l) in support)
 
 
 def universal_reduce_clause(prefix: Prefix, clause: Iterable[int]) -> Clause:
@@ -70,50 +84,218 @@ def universal_reduce(formula: Dqbf) -> Dqbf:
     return Dqbf(formula.prefix, tuple(_reduce(c, exist) for c in formula.matrix))
 
 
-def unit_propagate(formula: Dqbf) -> PropagationOutcome:
-    """Run unit propagation with interleaved universal reduction until
-    nothing changes.
+class ClauseStore:
+    """A mutable, occurrence-indexed matrix over a fixed prefix, on which
+    probes propagate and passes rewrite in place.
 
-    All clauses are reduced up front, then existential unit clauses are
-    processed from a FIFO queue seeded in matrix order: clauses containing
-    the unit are removed, the opposite literal is deleted elsewhere, the
-    propagated variable leaves the prefix, and every shortened clause is
-    re-reduced before the next unit is dequeued. Deriving the empty clause
-    is a conflict. Deterministic; the fixpoint is itself a fixpoint.
+    Clause ids follow insertion order and are never reused: deleting a
+    clause leaves a hole, replacing one keeps its id, and appending one
+    takes the next id. Walking the ids in order therefore lists the
+    matrix the way the equivalent Dqbf would. `occurrences` maps each
+    literal to the ids of the clauses containing it, in id order; it is
+    also how `find` looks a clause up, which keeps the matrix free of
+    duplicates without a second index. A clause can also be hidden for
+    the duration of a block, which leaves it out of propagation and out
+    of `find` without touching the occurrence lists.
+
+    Propagation records every processed literal on `trail`; `undo`
+    takes them back. `visits` counts the clauses propagation has
+    examined over the store's lifetime.
     """
-    existentials = dict(formula.prefix.existentials)
-    clauses: list[Clause | None] = []
-    queue: deque[int] = deque()
-    for clause in formula.matrix:
-        reduced = _reduce(clause, existentials)
-        if not reduced:
-            return PropagationOutcome(conflict=True)
-        clauses.append(reduced)
-        if len(reduced) == 1 and abs(reduced[0]) in existentials:
-            queue.append(reduced[0])
-    units: list[int] = []
-    while queue:
-        lit = queue.popleft()
-        if abs(lit) not in existentials:
-            continue  # already propagated through another clause
-        del existentials[abs(lit)]
-        units.append(lit)
-        for index, clause in enumerate(clauses):
+
+    def __init__(self, formula: Dqbf) -> None:
+        self.prefix = formula.prefix
+        self.clauses: list[Clause | None] = []
+        self.occurrences: dict[int, list[int]] = {}
+        # ids of the clauses universal reduction leaves with at most one
+        # literal: under any abstraction, no other clause can be a unit or
+        # empty before propagation starts
+        self.seeds: list[int] = []
+        self.trail: list[int] = []
+        self.true: set[int] = set()
+        self.visits = 0
+        for clause in formula.matrix:  # already free of duplicates
+            self._add(clause)
+
+    @staticmethod
+    def of(scope: Dqbf | ClauseStore) -> ClauseStore:
+        """The store itself, or a fresh store holding the formula."""
+        return scope if isinstance(scope, ClauseStore) else ClauseStore(scope)
+
+    def formula(self) -> Dqbf:
+        return Dqbf(self.prefix, tuple(c for c in self.clauses if c is not None))
+
+    def find(self, clause: Clause) -> int | None:
+        """Id of the clause equal to a canonical clause, if present."""
+        if not clause:
+            return self.clauses.index(()) if () in self.clauses else None
+        occurrences = self.occurrences
+        rarest = min(clause, key=lambda lit: len(occurrences.get(lit, ())))
+        return next((cid for cid in occurrences.get(rarest, ())
+                     if self.clauses[cid] == clause), None)
+
+    def append(self, clause: Clause) -> None:
+        """Add a canonical clause after all others, unless it is present."""
+        if self.find(clause) is None:
+            self._add(clause)
+
+    def _add(self, clause: Clause) -> None:
+        cid = len(self.clauses)
+        self.clauses.append(clause)
+        occurrences = self.occurrences
+        for lit in clause:
+            ids = occurrences.get(lit)
+            if ids is None:
+                # sized exactly; most literals occur in few clauses, and
+                # lists grown by append are over-allocated
+                occurrences[lit] = [cid]
+            else:
+                ids.append(cid)
+        if len(_reduce(clause, self.prefix.existentials)) <= 1:
+            self.seeds.append(cid)
+
+    def delete(self, cid: int) -> None:
+        clause = self.clauses[cid]
+        self.clauses[cid] = None
+        for lit in clause:
+            self.occurrences[lit].remove(cid)
+
+    def replace(self, cid: int, clause: Clause) -> None:
+        """Replace a clause by a canonical subset of its literals, which
+        keeps its place in the matrix."""
+        old = self.clauses[cid]
+        self.clauses[cid] = clause
+        for lit in old:
+            if lit not in clause:
+                self.occurrences[lit].remove(cid)
+        at = bisect_left(self.seeds, cid)
+        if ((at == len(self.seeds) or self.seeds[at] != cid)
+                and len(_reduce(clause, self.prefix.existentials)) <= 1):
+            self.seeds.insert(at, cid)
+
+    @contextmanager
+    def hidden(self, cid: int) -> Iterator[Clause]:
+        """Leave one clause out of propagation inside the block."""
+        clause = self.clauses[cid]
+        self.clauses[cid] = None
+        try:
+            yield clause
+        finally:
+            self.clauses[cid] = clause
+
+    def propagate(self, assumptions: Iterable[int] = (),
+                  abstracted: frozenset[int] = frozenset()) -> bool:
+        """Run unit propagation with interleaved universal reduction from an
+        empty trail, as if the assumptions were unit clauses appended to
+        the matrix and the abstracted universals were existentials with
+        empty dependency sets. Returns whether a conflict was derived; the
+        processed literals stay on the trail.
+
+        Existential unit clauses of the matrix are queued in clause order,
+        then the assumptions. Processing a literal puts it on the trail and
+        visits, in clause order, the clauses containing its complement
+        that no processed literal satisfies: each loses its falsified
+        literals and is reduced again. An empty result is a conflict and a
+        unit is queued. A queued literal whose variable is already
+        assigned is skipped. A universal unit is a conflict.
+        """
+        assumptions = tuple(assumptions)
+        existentials = self.prefix.existentials
+        clauses, occurrences = self.clauses, self.occurrences
+        true, trail = self.true, self.trail
+        queue: deque[int] = deque()
+        for cid in self.seeds:
+            clause = clauses[cid]
             if clause is None:
                 continue
-            if lit in clause:
-                clauses[index] = None
-            elif -lit in clause:
-                shortened = tuple(l for l in clause if l != -lit)
-                reduced = _reduce(shortened, existentials)
+            self.visits += 1
+            reduced = _reduce(clause, existentials, abstracted)
+            if not reduced:
+                return True
+            if len(reduced) == 1:
+                queue.append(reduced[0])
+        for lit in assumptions:
+            if abs(lit) not in existentials and abs(lit) not in abstracted:
+                return True  # a universal unit
+            queue.append(lit)
+        assumed = frozenset(assumptions)
+        while queue:
+            lit = queue.popleft()
+            if lit in true or -lit in true:
+                continue
+            true.add(lit)
+            trail.append(lit)
+            if -lit in assumed:
+                return True  # lit falsifies an assumption
+            for cid in occurrences.get(-lit, ()):
+                clause = clauses[cid]
+                if clause is None:
+                    continue
+                self.visits += 1
+                live: list[int] | None = []
+                for l in clause:
+                    if l in true:
+                        live = None  # satisfied
+                        break
+                    if -l not in true:
+                        live.append(l)
+                if live is None:
+                    continue
+                reduced = _reduce(live, existentials, abstracted)
                 if not reduced:
-                    return PropagationOutcome(conflict=True, steps=len(units))
-                clauses[index] = reduced
-                if len(reduced) == 1 and abs(reduced[0]) in existentials:
+                    return True
+                if len(reduced) == 1:
                     queue.append(reduced[0])
-    survivors = tuple(c for c in clauses if c is not None)
-    result = Dqbf(Prefix(formula.prefix.universals, existentials), survivors)
-    return PropagationOutcome(False, result, frozenset(units), len(units))
+        return False
+
+    def undo(self) -> None:
+        """Unassign every processed literal, emptying the trail."""
+        self.true.clear()
+        self.trail.clear()
+
+    def probe(self, assumptions: Iterable[int],
+              abstracted: frozenset[int]) -> tuple[bool, list[int]]:
+        """Propagate, then undo: whether the probe conflicted, and the
+        literals it processed in order."""
+        try:
+            return self.propagate(assumptions, abstracted), self.trail[:]
+        finally:
+            self.undo()
+
+    def outcome(self, assumptions: Iterable[int] = (),
+                abstracted: frozenset[int] = frozenset()) -> PropagationOutcome:
+        """Propagate and report the fixpoint formula: the abstraction
+        applied to the prefix, processed variables removed from it, and
+        the unsatisfied clauses reduced. The trail is left in place."""
+        if self.propagate(assumptions, abstracted):
+            return PropagationOutcome(True, steps=len(self.trail))
+        true = self.true
+        existentials = {y: deps for y, deps in self.prefix.existentials.items()
+                        if y not in true and -y not in true}
+        if abstracted:
+            existentials = {y: deps - abstracted for y, deps in existentials.items()}
+            existentials.update((v, frozenset()) for v in abstracted
+                                if v not in true and -v not in true)
+        prefix = Prefix(self.prefix.universals - abstracted, existentials)
+        survivors = tuple(
+            _reduce(tuple(l for l in c if -l not in true),
+                    self.prefix.existentials, abstracted)
+            for c in self.clauses
+            if c is not None and not any(l in true for l in c))
+        return PropagationOutcome(False, Dqbf(prefix, survivors),
+                                  frozenset(self.trail), len(self.trail))
+
+
+def unit_propagate(formula: Dqbf) -> PropagationOutcome:
+    """Run unit propagation with interleaved universal reduction until
+    nothing changes (see `ClauseStore.propagate`).
+
+    Satisfied clauses are removed, falsified literals deleted, the
+    propagated variables leave the prefix, and every remaining clause is
+    reduced. Deriving the empty clause is a conflict. Deterministic; the
+    fixpoint is itself a fixpoint.
+    """
+    return ClauseStore(formula).outcome()
 
 
 def abstract(formula: Dqbf, variables: Iterable[int]) -> Dqbf:
@@ -139,7 +321,7 @@ def abstract(formula: Dqbf, variables: Iterable[int]) -> Dqbf:
     return Dqbf(prefix, formula.matrix)
 
 
-def dqat_check(formula: Dqbf, clause: Iterable[int]) -> bool:
+def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     """Redundancy test: does assuming the clause's negation propagate to a
     conflict once every variable the clause may depend on is abstracted?
 
@@ -148,14 +330,13 @@ def dqat_check(formula: Dqbf, clause: Iterable[int]) -> bool:
     (or a present copy deleted from) the matrix without changing the set
     of Skolem functions. The abstraction step is what makes the test
     sound; propagating without it can claim redundancy for clauses that
-    genuinely constrain the formula.
+    genuinely constrain the formula. A ClauseStore is probed in place.
     """
     canon = normalize_clause(clause)
     if canon is TAUTOLOGY:
         raise ContractViolation("tautological clauses need no redundancy test")
-    if not is_compatible(formula, canon):
+    if not is_compatible(formula.prefix, canon):
         raise CompatibilityError(f"clause {canon} is not compatible with the formula")
-    assumptions = tuple((-lit,) for lit in canon)
-    probe = Dqbf(formula.prefix, formula.matrix + assumptions)
-    outcome = unit_propagate(abstract(probe, dep(formula, canon)))
-    return outcome.conflict
+    conflict, _ = ClauseStore.of(formula).probe(
+        [-lit for lit in canon], dep(formula.prefix, canon))
+    return conflict

@@ -10,6 +10,13 @@ propagates to a conflict. Each probe abstracts away the universals the
 tested literals may depend on; that abstraction is what keeps the
 conclusions sound under a dependency prefix.
 
+Each pass builds one ClauseStore from its input Dqbf, runs every probe
+on it (push assumptions, propagate, undo), commits each rewrite to it in
+place by replacing, deleting or appending a clause, and exports a Dqbf
+at the end. The clause under examination is hidden for its probes
+rather than copied out of the matrix. The public probes accept either a
+Dqbf, which they wrap in a fresh store, or the store of a running pass.
+
 All passes return the rewritten formula together with a PassReport and
 leave a formula that already contains the empty clause untouched: a
 refutation is final, rewriting past it only churns.
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
 from .formula import (TAUTOLOGY, Clause, Dqbf, Prefix, dep, is_compatible,
                       literal_key, normalize_clause)
-from .propagation import abstract, dqat_check, unit_propagate, universal_reduce_clause
+from .propagation import ClauseStore, dqat_check, universal_reduce_clause
 from .reports import PassReport
 
 DEFAULT_VIVIFY_BUDGET = 10_000  # propagation steps per clause
@@ -48,17 +55,13 @@ class VivifyResult:
     new_clause: Clause | None = None
 
 
-def _literal_order(matrix: tuple[Clause, ...], clause: Clause) -> list[int]:
+def _literal_order(store: ClauseStore, clause: Clause) -> list[int]:
     # most frequent literal first, ties by variable id
-    counts = {lit: 0 for lit in clause}
-    for other in matrix:
-        for lit in other:
-            if lit in counts:
-                counts[lit] += 1
-    return sorted(clause, key=lambda lit: (-counts[lit], abs(lit)))
+    occurrences = store.occurrences
+    return sorted(clause, key=lambda lit: (-len(occurrences.get(lit, ())), abs(lit)))
 
 
-def vivify_clause(formula: Dqbf, clause: Clause,
+def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
                   budget: int = DEFAULT_VIVIFY_BUDGET) -> VivifyResult:
     """Try to shorten one clause of the formula.
 
@@ -70,31 +73,32 @@ def vivify_clause(formula: Dqbf, clause: Clause,
     fixpoint whose units contain one of the remaining literals pins that
     literal down. The budget caps total propagation steps.
     """
+    store = ClauseStore.of(formula)
     canon = normalize_clause(clause)
-    if canon is TAUTOLOGY or canon not in formula.matrix:
+    cid = None if canon is TAUTOLOGY else store.find(canon)
+    if cid is None:
         raise ContractViolation("clause to vivify must be in the matrix")
     if len(canon) < 2:
         return VivifyResult(VivifyKind.UNCHANGED)
-    rest = tuple(c for c in formula.matrix if c != canon)
-    order = _literal_order(formula.matrix, canon)
+    order = _literal_order(store, canon)
     steps_used = 0
-    for size in range(len(canon)):
-        if steps_used >= budget:
-            return VivifyResult(VivifyKind.UNCHANGED)
-        subset = order[:size]
-        assumptions = tuple((-lit,) for lit in subset)
-        probe = Dqbf(formula.prefix, rest + assumptions)
-        outcome = unit_propagate(abstract(probe, dep(formula, subset)))
-        steps_used += outcome.steps
-        if outcome.conflict:
-            result = normalize_clause(subset)
-            assert result is not TAUTOLOGY
-            return VivifyResult(VivifyKind.REPLACED, result)
-        for lit in order[size:]:
-            if lit in outcome.units:
-                result = normalize_clause(subset + [lit])
+    with store.hidden(cid):
+        for size in range(len(canon)):
+            if steps_used >= budget:
+                return VivifyResult(VivifyKind.UNCHANGED)
+            subset = order[:size]
+            conflict, units = store.probe([-lit for lit in subset],
+                                          dep(store.prefix, subset))
+            steps_used += len(units)
+            if conflict:
+                result = normalize_clause(subset)
                 assert result is not TAUTOLOGY
-                return VivifyResult(VivifyKind.STRENGTHENED, result)
+                return VivifyResult(VivifyKind.REPLACED, result)
+            for lit in order[size:]:
+                if lit in units:
+                    result = normalize_clause(subset + [lit])
+                    assert result is not TAUTOLOGY
+                    return VivifyResult(VivifyKind.STRENGTHENED, result)
     return VivifyResult(VivifyKind.UNCHANGED)
 
 
@@ -105,27 +109,23 @@ def vivify_pass(formula: Dqbf,
     report = PassReport("vivify")
     if () in formula.matrix:
         return formula, report
-    working = list(formula.matrix)
-    i = 0
-    while i < len(working):
-        current = Dqbf(formula.prefix, tuple(working))
-        result = vivify_clause(current, working[i], budget)
-        if result.kind is VivifyKind.UNCHANGED or result.new_clause == working[i]:
-            i += 1
+    store = ClauseStore(formula)
+    for cid, clause in enumerate(store.clauses):
+        result = vivify_clause(store, clause, budget)
+        if result.kind is VivifyKind.UNCHANGED or result.new_clause == clause:
             continue
         new_clause = result.new_clause
         assert new_clause is not None
         if new_clause == ():
-            working[i] = new_clause
+            store.replace(cid, new_clause)
             report.conflicts += 1
             break
         report.clauses_shortened += 1
-        if new_clause in working[:i] or new_clause in working[i + 1:]:
-            working.pop(i)  # shortened into an existing clause
-            continue
-        working[i] = new_clause
-        i += 1
-    return Dqbf(formula.prefix, tuple(working)), report
+        if store.find(new_clause) is not None:
+            store.delete(cid)  # shortened into an existing clause
+        else:
+            store.replace(cid, new_clause)
+    return store.formula(), report
 
 
 @dataclass(frozen=True)
@@ -148,25 +148,24 @@ class UplaFindings:
         return any(-lit in self.forced for lit in self.forced)
 
 
-def upla_probe(formula: Dqbf, var: int) -> UplaFindings:
+def upla_probe(formula: Dqbf | ClauseStore, var: int) -> UplaFindings:
     """Propagate the formula under var and under its negation, with the
     universals var may depend on abstracted away, and compare notes."""
     if var not in formula.prefix:
         raise CompatibilityError(f"variable {var} is not in the prefix")
-    scope = dep(formula, var)
-    outcomes = {}
-    for lit in (var, -var):
-        probe = Dqbf(formula.prefix, formula.matrix + ((lit,),))
-        outcomes[lit] = unit_propagate(abstract(probe, scope))
+    store = ClauseStore.of(formula)
+    scope = dep(store.prefix, var)
+    positive_conflict, positive_units = store.probe((var,), scope)
+    negative_conflict, negative_units = store.probe((-var,), scope)
     forced = set()
-    if outcomes[var].conflict:
+    if positive_conflict:
         forced.add(-var)
-    if outcomes[-var].conflict:
+    if negative_conflict:
         forced.add(var)
     if forced:
         return UplaFindings(forced=frozenset(forced))
-    positive = outcomes[var].units
-    negative = outcomes[-var].units
+    positive = frozenset(positive_units)
+    negative = frozenset(negative_units)
     equivalences = frozenset((var, lit) for lit in positive
                              if -lit in negative and abs(lit) != var)
     return UplaFindings(common_units=positive & negative,
@@ -177,13 +176,18 @@ def upla_apply(formula: Dqbf, findings: UplaFindings) -> Dqbf:
     """Graft probe findings onto the formula as clauses."""
     if findings.contradictory:
         return Dqbf(formula.prefix, ((),))
-    additions: list[tuple[int, ...]] = []
+    return Dqbf(formula.prefix, formula.matrix + _additions(findings))
+
+
+def _additions(findings: UplaFindings) -> tuple[Clause, ...]:
+    # canonical clauses for the findings, in the order they are appended
+    additions: list[Clause] = []
     for lit in sorted(findings.forced | findings.common_units, key=literal_key):
         additions.append((lit,))
     for var, lit in sorted(findings.equivalences):
-        additions.append((-var, lit))
-        additions.append((var, -lit))
-    return Dqbf(formula.prefix, formula.matrix + tuple(additions))
+        additions.append(normalize_clause((-var, lit)))
+        additions.append(normalize_clause((var, -lit)))
+    return tuple(additions)
 
 
 def upla_pass(formula: Dqbf, existential_only: bool = False) -> tuple[Dqbf, PassReport]:
@@ -192,27 +196,26 @@ def upla_pass(formula: Dqbf, existential_only: bool = False) -> tuple[Dqbf, Pass
     report = PassReport("upla")
     if () in formula.matrix:
         return formula, report
-    current = formula
+    store = ClauseStore(formula)
     if existential_only:
         candidates = sorted(formula.prefix.existentials)
     else:
         candidates = sorted(formula.prefix.variables)
     for var in candidates:
-        findings = upla_probe(current, var)
+        findings = upla_probe(store, var)
         if findings.contradictory:
             report.conflicts += 1
-            current = Dqbf(current.prefix, ((),))
-            break
-        existing = set(current.matrix)
+            return Dqbf(formula.prefix, ((),)), report
         for lit in findings.forced | findings.common_units:
-            if (lit,) not in existing:
+            if store.find((lit,)) is None:
                 report.units_added += 1
         for var_, lit in findings.equivalences:
-            pair = {normalize_clause((-var_, lit)), normalize_clause((var_, -lit))}
-            if pair - existing:
+            pair = (normalize_clause((-var_, lit)), normalize_clause((var_, -lit)))
+            if any(store.find(clause) is None for clause in pair):
                 report.equivalences_added += 1
-        current = upla_apply(current, findings)
-    return current, report
+        for clause in _additions(findings):
+            store.append(clause)
+    return store.formula(), report
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,7 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
     return normalize_clause(merged)
 
 
-def dqrat_plus_check(formula: Dqbf, clause: Clause, pivot: int) -> bool:
+def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) -> bool:
     """Is the clause redundant with respect to the formula on this pivot?
 
     Every clause of the matrix containing the negated pivot contributes
@@ -288,15 +291,17 @@ def dqrat_plus_check(formula: Dqbf, clause: Clause, pivot: int) -> bool:
         raise ContractViolation("clause under test must not be tautological")
     if pivot not in canon:
         raise ContractViolation("pivot must occur in the clause")
-    if not is_compatible(formula, canon):
+    if not is_compatible(formula.prefix, canon):
         raise CompatibilityError("clause uses variables outside the prefix")
-    for partner in formula.matrix:
-        if -pivot not in partner:
+    store = ClauseStore.of(formula)
+    for cid in store.occurrences.get(-pivot, ()):
+        partner = store.clauses[cid]
+        if partner is None:
             continue
-        resolvent = outer_resolvent(formula.prefix, canon, partner, pivot)
+        resolvent = outer_resolvent(store.prefix, canon, partner, pivot)
         if resolvent is TAUTOLOGY:
             continue
-        if not dqat_check(formula, resolvent):
+        if not dqat_check(store, resolvent):
             return False
     return True
 
@@ -317,41 +322,39 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     prefix = formula.prefix
     depended = frozenset().union(*prefix.existentials.values()) \
         if prefix.existentials else frozenset()
-    working = list(formula.matrix)
-    i = 0
-    while i < len(working):
-        clause = working[i]
-        context = Dqbf(prefix, tuple(working[:i] + working[i + 1:]))
+    store = ClauseStore(formula)
+    for cid, clause in enumerate(store.clauses):
         deleted = False
         dropped: int | None = None
-        for lit in sorted(clause, key=literal_key):
-            if abs(lit) in prefix.existentials and dqrat_plus_check(context, clause, lit):
-                deleted = True
-                break
-        if not deleted:
-            for lit in sorted(clause, key=literal_key):
-                if abs(lit) in prefix.existentials or abs(lit) not in depended:
-                    continue
-                if dqrat_plus_check(context, clause, lit):
-                    dropped = lit
+        # each clause is checked against the rest; its literals are
+        # already in canonical order, so pivots are tried in that order
+        with store.hidden(cid):
+            for lit in clause:
+                if abs(lit) in prefix.existentials and dqrat_plus_check(store, clause, lit):
+                    deleted = True
                     break
+            if not deleted:
+                for lit in clause:
+                    if abs(lit) in prefix.existentials or abs(lit) not in depended:
+                        continue
+                    if dqrat_plus_check(store, clause, lit):
+                        dropped = lit
+                        break
         if deleted:
-            working.pop(i)
+            store.delete(cid)
             report.clauses_removed += 1
             continue
         if dropped is None:
-            i += 1
             continue
         reduced = universal_reduce_clause(
             prefix, tuple(lit for lit in clause if lit != dropped))
         report.clauses_shortened += 1
         if reduced == ():
-            working[i] = reduced
+            store.replace(cid, reduced)
             report.conflicts += 1
             break
-        if reduced in working[:i] or reduced in working[i + 1:]:
-            working.pop(i)  # merged into an existing clause
-            continue
-        working[i] = reduced
-        i += 1
-    return Dqbf(prefix, tuple(working)), report
+        if store.find(reduced) is not None:
+            store.delete(cid)  # merged into an existing clause
+        else:
+            store.replace(cid, reduced)
+    return store.formula(), report

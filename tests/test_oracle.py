@@ -209,6 +209,16 @@ def test_expansion_budget_matrix_blowup():
         solve_expansion(f, limit=3)
 
 
+def test_expansion_search_depth_is_not_bounded_by_recursion():
+    # within the budget (no universals), but every clause needs its own
+    # decision: 1,500 nested branches, past the interpreter's recursion limit
+    p = u_e(set(), {v: frozenset() for v in range(1, 3001)})
+    f = Dqbf(p, tuple((2 * i - 1, 2 * i) for i in range(1, 1501)))
+    assert solve_expansion(f).satisfiable
+    blocked = Dqbf(p, f.matrix + ((-1,), (-2,)))
+    assert not solve_expansion(blocked).satisfiable
+
+
 # -- cross checks -----------------------------------------------------------
 
 
