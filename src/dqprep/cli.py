@@ -185,7 +185,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_rounds=args.max_rounds,
             vivify_budget=args.vivify_budget,
             verify=args.verify,
-            seed=args.seed,
             budget=args.oracle_budget,
             upla_existential_only=args.upla_existential_only)
     except _UsageError as exc:

@@ -148,13 +148,14 @@ class _Layout:
     total_bits: int
 
 
-def _layout(formula: Dqbf) -> _Layout:
-    universals = tuple(sorted(formula.prefix.universals))
+def _layout(universals: Iterable[int],
+            dependencies: Iterable[tuple[int, frozenset[int]]]) -> _Layout:
+    universals = tuple(sorted(universals))
     uindex = {v: i for i, v in enumerate(universals)}
     entries = []
     offset = 0
-    for var in sorted(formula.prefix.existentials):
-        domain = tuple(sorted(formula.prefix.existentials[var]))
+    for var, deps in sorted(dependencies):
+        domain = tuple(sorted(deps))
         width = 1 << len(domain)
         entries.append(_Entry(var, domain, offset, width,
                               tuple(uindex[v] for v in domain)))
@@ -175,48 +176,98 @@ def _bit_mask(total_bits: int, position: int) -> int:
     return mask
 
 
-def _check_budget(layout: _Layout, limit: int) -> None:
-    if layout.total_bits > limit:
+def _check_budget(total_bits: int, universals: int, limit: int) -> None:
+    if total_bits > limit:
         raise BudgetError(
-            f"candidate space 2**{layout.total_bits} exceeds 2**{limit}")
-    if len(layout.universals) > limit:
+            f"candidate space 2**{total_bits} exceeds 2**{limit}")
+    if universals > limit:
         raise BudgetError(
-            f"{len(layout.universals)} universals exceed the 2**{limit} budget")
+            f"{universals} universals exceed the 2**{limit} budget")
+
+
+# A verified pass asks for the masks of its input and its output (`up`
+# also for its input plus the derived units), and the next pass's input
+# is this pass's output, so two recent formulas cover every repeat.
+_MASK_MEMO_SIZE = 2
 
 
 def _satisfying_mask(formula: Dqbf, limit: int) -> tuple[int, _Layout]:
-    layout = _layout(formula)
-    _check_budget(layout, limit)
-    nbits = 1 << layout.total_bits
-    full = (1 << nbits) - 1
+    """The set of satisfying candidate tuples and the layout that numbers
+    them. The budget is checked on every call; a formula's mask is only
+    computed and remembered once the check passed."""
+    prefix = formula.prefix
+    dependencies = tuple(prefix.existentials.items())
+    _check_budget(sum(1 << len(deps) for _, deps in dependencies),
+                  len(prefix.universals), limit)
+    return _remembered_mask(prefix.universals, dependencies, formula.matrix)
+
+
+@lru_cache(maxsize=_MASK_MEMO_SIZE)
+def _remembered_mask(universals: frozenset[int],
+                     dependencies: tuple[tuple[int, frozenset[int]], ...],
+                     matrix: tuple[Clause, ...]) -> tuple[int, _Layout]:
+    layout = _layout(universals, dependencies)
+    return _mask_kernel(layout, matrix), layout
+
+
+def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
+    # Each clause is split into its universal part, as two bit sets over
+    # universal indices (`care`: the universals it mentions, `neg`: those
+    # that occur negated), and the entries of its positive and negative
+    # existential literals. A universal assignment `urank` satisfies the
+    # clause iff (urank ^ neg) & care. Otherwise the clause keeps the
+    # tuples whose table bit at the current row of some positive entry
+    # is set, or at the current row of some negative entry is clear.
+    # Only entries the matrix mentions get a table-bit mask, so no mask
+    # is built (and kept by _bit_mask) for a table nothing reads.
+    total_bits = layout.total_bits
+    full = (1 << (1 << total_bits)) - 1
     entry_for = {e.variable: e for e in layout.entries}
+    entry_index: dict[int, int] = {}  # variable -> position in `rows`
+    rows = []
+    uindex = layout.uindex
     split = []
-    for clause in formula.matrix:
-        ulits = []
-        elits = []
+    for clause in matrix:
+        care = neg = 0
+        positive: list[int] = []
+        negative: list[int] = []
         for lit in clause:
             var = abs(lit)
-            if var in layout.uindex:
-                ulits.append((layout.uindex[var], lit > 0))
+            if var in uindex:
+                care |= 1 << uindex[var]
+                if lit < 0:
+                    neg |= 1 << uindex[var]
             else:
-                elits.append((entry_for[var], lit > 0))
-        split.append((ulits, elits))
+                if var not in entry_index:
+                    entry_index[var] = len(rows)
+                    rows.append((entry_for[var].offset, entry_for[var].domain_bits))
+                (positive if lit > 0 else negative).append(entry_index[var])
+        split.append((care, neg, positive, negative))
     mask = full
     for urank in range(1 << len(layout.universals)):
-        for ulits, elits in split:
-            if any(bool((urank >> i) & 1) == positive for i, positive in ulits):
+        current = None  # table-bit mask of each entry's row under urank
+        for care, neg, positive, negative in split:
+            if (urank ^ neg) & care:
                 continue  # clause satisfied by the universal assignment
+            if current is None:
+                current = []
+                for offset, domain_bits in rows:
+                    row = 0
+                    for j, bit in enumerate(domain_bits):
+                        row |= ((urank >> bit) & 1) << j
+                    current.append(_bit_mask(total_bits, offset + row))
             acc = 0
-            for entry, positive in elits:
-                row = 0
-                for j, bit in enumerate(entry.domain_bits):
-                    row |= ((urank >> bit) & 1) << j
-                bit_mask = _bit_mask(layout.total_bits, entry.offset + row)
-                acc |= bit_mask if positive else full ^ bit_mask
+            for k in positive:
+                acc |= current[k]
+            if negative:
+                all_set = full
+                for k in negative:
+                    all_set &= current[k]
+                acc |= full ^ all_set
             mask &= acc
             if mask == 0:
-                return 0, layout
-    return mask, layout
+                return 0
+    return mask
 
 
 def solve_brute(formula: Dqbf, limit: int = DEFAULT_BUDGET) -> SolveResult:

@@ -48,7 +48,6 @@ class PipelineConfig:
     max_rounds: int = 10
     vivify_budget: int = DEFAULT_VIVIFY_BUDGET
     verify: bool = False
-    seed: int = 0
     budget: int = oracle.DEFAULT_BUDGET
     upla_existential_only: bool = False
 

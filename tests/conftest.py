@@ -9,8 +9,9 @@ enough that every generated formula fits the oracle budget.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 
-from dqprep import Dqbf, Prefix, TAUTOLOGY, normalize_clause
+from dqprep import Dqbf, Prefix, TAUTOLOGY, normalize_clause, oracle
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -27,6 +28,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Matrices whose satisfying mask the oracle computes from here on,
+    starting with an empty memo."""
+    calls = []
+    kernel = oracle._mask_kernel
+
+    def counting_kernel(layout, matrix):
+        calls.append(matrix)
+        return kernel(layout, matrix)
+
+    monkeypatch.setattr(oracle, "_mask_kernel", counting_kernel)
+    oracle._remembered_mask.cache_clear()
+    return calls
 
 
 def oracle_bits(formula: Dqbf) -> int:

@@ -1,13 +1,21 @@
 """Ground-truth oracle: Skolem tuples, both solvers, comparisons."""
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import formulas, oracle_bits
-from dqprep import (BudgetError, ContractViolation, Dqbf, Prefix,
+from conftest import formulas, in_oracle_budget, oracle_bits
+from dqprep import (BudgetError, ContractViolation, Dqbf, FuzzBounds, Prefix,
                     SkolemFunction, SkolemTuple, equisatisfiable, equivalent,
-                    evaluate, implies, is_skolem, solve_brute, solve_expansion)
-from dqprep.oracle import assignment_rank
+                    evaluate, fuzz, implies, is_skolem, solve_brute,
+                    solve_expansion)
+from dqprep import oracle
+from dqprep.oracle import DEFAULT_BUDGET, assignment_rank
+from reference_oracle import reference_satisfying_mask
 
 
 def u_e(universals, existentials):
@@ -185,6 +193,112 @@ def test_equisatisfiable_across_prefixes():
     assert not equisatisfiable(a, Dqbf(a.prefix, ((1,), (-1,))))
 
 
+# -- the mask kernel and its memo -------------------------------------------
+
+# past the default FuzzBounds, up to the shape of the benchmark's
+# verify-fuzz instances (4 universals, 6 existentials, 14 clauses)
+LARGER = FuzzBounds(4, 6, 14, 4)
+
+
+def _mask(formula):
+    return oracle._satisfying_mask(formula, DEFAULT_BUDGET)[0]
+
+
+@given(formulas(), st.booleans())
+def test_mask_kernel_matches_reference(formula, add_empty_clause):
+    if add_empty_clause:
+        formula = Dqbf(formula.prefix, formula.matrix + ((),))
+    assert _mask(formula) == reference_satisfying_mask(formula)
+
+
+def test_mask_kernel_matches_reference_on_larger_formulas():
+    seen = Counter()
+    for index, formula in enumerate(fuzz(11, 400, LARGER)):
+        if not in_oracle_budget(formula):
+            continue
+        if index % 4 == 0:
+            formula = Dqbf(formula.prefix, formula.matrix + ((),))
+        assert _mask(formula) == reference_satisfying_mask(formula)
+        universals = formula.prefix.universals
+        seen["formulas"] += 1
+        seen["empty clause"] += () in formula.matrix
+        seen["universal-only clause"] += any(
+            clause and all(abs(lit) in universals for lit in clause)
+            for clause in formula.matrix)
+        seen["independent existential"] += any(
+            not deps for deps in formula.prefix.existentials.values())
+        seen["unsatisfiable without an empty clause"] += (
+            () not in formula.matrix and _mask(formula) == 0)
+        seen["satisfiable"] += _mask(formula) != 0
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+def test_budget_is_checked_on_a_remembered_mask(kernel_calls):
+    psi = Dqbf(u_e({1}, {2: frozenset({1})}), ((1, 2),))
+    assert solve_brute(psi, 20).satisfiable
+    with pytest.raises(BudgetError):
+        solve_brute(psi, 1)
+    assert len(kernel_calls) == 1
+
+
+def test_nothing_is_remembered_over_budget(kernel_calls):
+    psi = Dqbf(u_e({1}, {2: frozenset({1})}), ((1, 2),))
+    with pytest.raises(BudgetError):
+        solve_brute(psi, 1)
+    assert oracle._remembered_mask.cache_info().currsize == 0
+    assert kernel_calls == []
+
+
+def test_memo_tells_dependency_sets_apart(kernel_calls):
+    # the copy gadget needs y to see x; with y independent it is false
+    matrix = ((1, -2), (-1, 2))
+    dependent = Dqbf(u_e({1}, {2: frozenset({1})}), matrix)
+    independent = Dqbf(u_e({1}, {2: frozenset()}), matrix)
+    assert solve_brute(dependent).satisfiable
+    assert not solve_brute(independent).satisfiable
+    assert solve_brute(dependent).satisfiable
+    assert len(kernel_calls) == 2
+
+
+def test_equal_formulas_share_one_mask(kernel_calls):
+    p = u_e({1}, {2: frozenset({1}), 3: frozenset()})
+    first = Dqbf(p, tuple([(1, 2), (-2, 3)]))
+    second = Dqbf(Prefix(frozenset({1}), {3: frozenset(), 2: frozenset({1})}),
+                  tuple([(1, 2), (-2, 3)]))
+    assert first == second and first is not second
+    assert first.matrix is not second.matrix
+    assert equivalent(first, second)
+    assert len(kernel_calls) == 1
+
+
+def test_memo_hands_each_thread_its_own_masks():
+    # more threads than cores, switching often, each walking the same
+    # formulas from another start: a mask handed to the wrong formula,
+    # or a memo entry torn by a switch, gives a wrong mask
+    cases = [f for f in fuzz(17, 120, LARGER) if in_oracle_budget(f)]
+    expected = [reference_satisfying_mask(f) for f in cases]
+    wrong = []
+
+    def walk(start):
+        for step in range(2 * len(cases)):
+            index = (start + step // 2) % len(cases)
+            if _mask(cases[index]) != expected[index]:
+                wrong.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k * 7,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 # -- expansion solver -------------------------------------------------------
 
 
@@ -226,6 +340,17 @@ def test_expansion_search_depth_is_not_bounded_by_recursion():
 def test_solvers_agree(formula):
     assert (solve_brute(formula).satisfiable
             == solve_expansion(formula).satisfiable)
+
+
+def test_solvers_agree_beyond_fuzz_bounds():
+    verdicts = Counter()
+    for formula in fuzz(13, 400, LARGER):
+        if not in_oracle_budget(formula):
+            continue
+        brute = solve_brute(formula).satisfiable
+        assert brute == solve_expansion(formula).satisfiable, formula
+        verdicts[brute] += 1
+    assert min(verdicts[True], verdicts[False]) >= 10, verdicts
 
 
 @given(formulas())

@@ -114,6 +114,25 @@ def test_verification_catches_a_broken_pass(monkeypatch):
     assert "--- before ---" in str(info.value)
 
 
+def test_verification_catches_a_broken_pass_on_a_remembered_mask(
+        monkeypatch, kernel_calls):
+    # `ur` leaves the copy gadget unchanged, so its check leaves the
+    # formula's mask in the oracle's memo; the broken pass's check must
+    # still catch the dropped clause with `before`'s mask taken from there
+    import dqprep.pipeline as pipeline
+
+    def last_clause_eater(formula, budget):
+        return Dqbf(formula.prefix, formula.matrix[:-1]), PassReport("vivify")
+
+    monkeypatch.setattr(pipeline, "vivify_pass", last_clause_eater)
+    f = Dqbf(u_e({1}, {2: frozenset({1})}), ((1, -2), (-1, 2)))
+    config = PipelineConfig(passes=("ur", "vivify"), verify=True)
+    with pytest.raises(VerificationError) as info:
+        run_pipeline(config, f)
+    assert "vivify pass failed verification" in str(info.value)
+    assert kernel_calls == [f.matrix, f.matrix[:-1]]
+
+
 def test_verification_skips_over_budget_instances(caplog):
     deps = frozenset(range(1, 6))
     f = Dqbf(u_e(deps, {6: deps}), ((1, 6),))
