@@ -136,7 +136,8 @@ def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
         source_name = "<stdin>"
     else:
         try:
-            with open(args.input, "r", encoding="utf-8") as handle:
+            with open(args.input, "r", encoding="utf-8",
+                      errors="surrogateescape") as handle:
                 text = handle.read()
         except OSError as exc:
             print(f"dqprep: cannot read {args.input}: {exc.strerror}",

@@ -15,6 +15,12 @@ trail and undoes it, so a probe costs what it propagates rather than
 the size of the matrix, and rewrites are committed to the store in
 place. Dqbf stays the immutable boundary type: `unit_propagate` and the
 public probes accept a Dqbf and build a store from it.
+
+Propagation decides whether a visited clause is a unit or empty in one
+scan of it (`_unit`), without building the reduced clause. `_reduce`
+builds it only where it is the result: `universal_reduce_clause`,
+`universal_reduce`, the fixpoint formula of `ClauseStore.outcome`, and
+the store's seed clauses when a clause is added or replaced.
 """
 
 from __future__ import annotations
@@ -65,6 +71,35 @@ def _reduce(clause: Sequence[int], existentials: Mapping[int, frozenset[int]],
             support.update(deps)
     return tuple(l for l in clause if abs(l) in existentials
                  or abs(l) in abstracted or abs(l) in support)
+
+
+def _unit(clause: Clause, true: set[int],
+          existentials: Mapping[int, frozenset[int]],
+          abstracted: frozenset[int]) -> int | None:
+    # the reduced clause under the assignment `true`, decided in one scan
+    # without building it: None if the clause is satisfied or keeps two
+    # or more literals, 0 if it is empty, else its only literal. It keeps
+    # the unassigned existential and abstracted literals (a universal
+    # that is not abstracted is never assigned) and the universals they
+    # depend on, so with one such literal e it is (e) unless a universal
+    # of the clause that is not abstracted lies in deps(e).
+    unit = 0
+    for lit in clause:
+        if lit in true:
+            return None
+        var = abs(lit)
+        if (var in existentials or var in abstracted) and -lit not in true:
+            if unit:
+                return None
+            unit = lit
+    if unit:
+        deps = existentials.get(abs(unit))
+        if deps:
+            for lit in clause:
+                var = abs(lit)
+                if var in deps and var not in abstracted:
+                    return None
+    return unit
 
 
 def universal_reduce_clause(prefix: Prefix, clause: Iterable[int]) -> Clause:
@@ -196,7 +231,8 @@ class ClauseStore:
         visits, in clause order, the clauses containing its complement
         that no processed literal satisfies: each loses its falsified
         literals and is reduced again. An empty result is a conflict and a
-        unit is queued. A queued literal whose variable is already
+        unit is queued; `_unit` decides which without building the
+        reduced clause. A queued literal whose variable is already
         assigned is skipped. A universal unit is a conflict.
         """
         assumptions = tuple(assumptions)
@@ -209,11 +245,11 @@ class ClauseStore:
             if clause is None:
                 continue
             self.visits += 1
-            reduced = _reduce(clause, existentials, abstracted)
-            if not reduced:
+            unit = _unit(clause, true, existentials, abstracted)
+            if unit == 0:
                 return True
-            if len(reduced) == 1:
-                queue.append(reduced[0])
+            if unit is not None:
+                queue.append(unit)
         for lit in assumptions:
             if abs(lit) not in existentials and abs(lit) not in abstracted:
                 return True  # a universal unit
@@ -232,20 +268,11 @@ class ClauseStore:
                 if clause is None:
                     continue
                 self.visits += 1
-                live: list[int] | None = []
-                for l in clause:
-                    if l in true:
-                        live = None  # satisfied
-                        break
-                    if -l not in true:
-                        live.append(l)
-                if live is None:
-                    continue
-                reduced = _reduce(live, existentials, abstracted)
-                if not reduced:
+                unit = _unit(clause, true, existentials, abstracted)
+                if unit == 0:
                     return True
-                if len(reduced) == 1:
-                    queue.append(reduced[0])
+                if unit is not None:
+                    queue.append(unit)
         return False
 
     def undo(self) -> None:

@@ -268,12 +268,20 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
     if pivot not in c or -pivot not in d:
         raise ContractViolation(
             "pivot must occur in the first clause and negated in the second")
-    sets = outer_variables(prefix, abs(pivot))
-    outer_part = [lit for lit in d if abs(lit) in sets.outer]
-    if abs(pivot) in prefix.existentials:
-        merged = list(c) + [lit for lit in outer_part if lit != -pivot]
+    return _resolve(c, d, pivot, outer_variables(prefix, abs(pivot)).outer,
+                    abs(pivot) in prefix.existentials)
+
+
+def _resolve(canon: Clause, partner: Clause, pivot: int, outer: frozenset[int],
+             existential: bool) -> Clause | object:
+    # `outer_resolvent` of two canonical clauses, given the pivot's outer
+    # set and whether the pivot is existential. The merged literals are
+    # normalized once, which is what detects a tautological resolvent.
+    outer_part = [lit for lit in partner if abs(lit) in outer]
+    if existential:
+        merged = list(canon) + [lit for lit in outer_part if lit != -pivot]
     else:
-        merged = [lit for lit in c if lit != pivot] + outer_part
+        merged = [lit for lit in canon if lit != pivot] + outer_part
     return normalize_clause(merged)
 
 
@@ -294,11 +302,17 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     if not is_compatible(formula.prefix, canon):
         raise CompatibilityError("clause uses variables outside the prefix")
     store = ClauseStore.of(formula)
+    existential = abs(pivot) in store.prefix.existentials
+    # computed at the first partner, so a pivot without partners passes
+    # even where its outer set is undefined
+    outer = None
     for cid in store.occurrences.get(-pivot, ()):
         partner = store.clauses[cid]
         if partner is None:
             continue
-        resolvent = outer_resolvent(store.prefix, canon, partner, pivot)
+        if outer is None:
+            outer = outer_variables(store.prefix, abs(pivot)).outer
+        resolvent = _resolve(canon, partner, pivot, outer, existential)
         if resolvent is TAUTOLOGY:
             continue
         if not dqat_check(store, resolvent):

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +65,26 @@ def test_parse_error(tmp_path, capsys):
     code = main([write(tmp_path, "garbage\n")])
     assert code == 1
     assert "dqprep:" in capsys.readouterr().err
+
+
+def test_undecodable_bytes_are_a_parse_error_from_file_and_stdin(tmp_path):
+    # byte 0xff on line 2 is not UTF-8; a file and stdin must both give
+    # the line-numbered parse error, never a traceback
+    path = tmp_path / "bad.dqdimacs"
+    path.write_bytes(b"p cnf 1 1\ne 1 \xff 0\n1 0\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = [sys.executable, "-c",
+               "from dqprep.cli import console_main; console_main()"]
+    from_file = subprocess.run(command + [str(path)], capture_output=True,
+                               text=True, env=env, timeout=60)
+    from_stdin = subprocess.run(command, input=path.read_bytes(),
+                                capture_output=True, env=env, timeout=60)
+    assert from_file.returncode == from_stdin.returncode == 1
+    assert "Traceback" not in from_file.stderr
+    assert f"dqprep: {path}: line 2: " in from_file.stderr
+    assert (from_file.stderr.replace(str(path), "<stdin>")
+            == from_stdin.stderr.decode())
 
 
 def test_unknown_pass_name(tmp_path, capsys):

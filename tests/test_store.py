@@ -7,6 +7,7 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,40 @@ def test_steps_follow_fifo_order():
     expected = reference(formula, [3, 3, 4], frozenset({1}))
     assert expected.conflict and expected.steps == 4
     assert fields(outcome) == fields(expected)
+
+
+# universals 1 and 2; existentials 3 and 4 depend on 1, 5 and 6 on nothing
+KERNEL_PREFIX = Prefix(frozenset({1, 2}), {3: frozenset({1}), 4: frozenset({1}),
+                                           5: frozenset(), 6: frozenset()})
+
+
+@pytest.mark.parametrize(
+    "matrix, assumptions, abstracted, conflict, units, visits", [
+        # -4 leaves 3 and the universal 1 in deps(3): not a unit
+        (((1, 3, 4),), [-4], frozenset(), False, {-4}, 1),
+        # 1 abstracted is a second open literal beside 3: still no unit
+        (((1, 3, 4),), [-4], frozenset({1}), False, {-4}, 1),
+        # -4 leaves only the abstracted 1, which becomes a unit
+        (((1, 4),), [-4], frozenset({1}), False, {-4, 1}, 1),
+        # 4 leaves only the universals 1 and 2: a conflict
+        (((1, 2, -4),), [4], frozenset(), True, None, 1),
+        # 5 leaves 3 and 4 open in both clauses; the second is satisfied
+        # by 6, after the two open literals
+        (((3, 4, -5), (3, 4, -5, 6)), [6, 5], frozenset(), False, {5, 6}, 2),
+        # (1, 2) is a seed, empty unless 1 is abstracted; then it is (1),
+        # which leaves (3) of (-1, 3): 1 is no longer in deps(3)
+        (((1, 2), (-1, 3)), [], frozenset({1}), False, {1, 3}, 2),
+    ])
+def test_unit_decision_examples(matrix, assumptions, abstracted, conflict,
+                                units, visits):
+    formula = Dqbf(KERNEL_PREFIX, matrix)
+    store = ClauseStore(formula)
+    got = store.outcome(assumptions, abstracted)
+    assert fields(got) == fields(reference(formula, assumptions, abstracted))
+    assert got.conflict == conflict
+    if not conflict:
+        assert got.units == frozenset(units)
+    assert store.visits == visits
 
 
 @given(st.data())

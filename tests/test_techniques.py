@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import formulas
-from dqprep import (CompatibilityError, ContractViolation, Dqbf,
+from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
                     KernelUndefined, Prefix, TAUTOLOGY, VivifyKind,
-                    dqrat_eliminate_pass, dqrat_plus_check, equisatisfiable,
-                    equivalent, outer_resolvent, outer_variables, solve_brute,
-                    upla_apply, upla_pass, upla_probe, vivify_clause,
-                    vivify_pass)
+                    dqat_check, dqrat_eliminate_pass, dqrat_plus_check,
+                    equisatisfiable, equivalent, fuzz, outer_resolvent,
+                    outer_variables, solve_brute, upla_apply, upla_pass,
+                    upla_probe, vivify_clause, vivify_pass)
+from dqprep.propagation import ClauseStore
+from dqprep.techniques import _resolve
 
 
 def u_e(universals, existentials):
@@ -286,6 +288,22 @@ def test_resolvent_rejects_tautological_input():
         outer_resolvent(flat(2), (1, -1, 2), (-1,), 1)
 
 
+@given(formulas())
+def test_resolve_matches_outer_resolvent_on_canonical_clauses(formula):
+    prefix = formula.prefix
+    for first in formula.matrix:
+        for pivot in first:
+            try:
+                outer = outer_variables(prefix, abs(pivot)).outer
+            except KernelUndefined:
+                continue
+            existential = abs(pivot) in prefix.existentials
+            for second in formula.matrix:
+                if -pivot in second:
+                    assert (_resolve(first, second, pivot, outer, existential)
+                            == outer_resolvent(prefix, first, second, pivot))
+
+
 # -- redundancy elimination -------------------------------------------------
 
 
@@ -307,6 +325,52 @@ def test_dqrat_check_rejects_tautology_and_bad_pivot():
         dqrat_plus_check(f, (1, -1), 1)
     with pytest.raises(ContractViolation):
         dqrat_plus_check(f, (1,), 2)
+
+
+def reference_dqrat_plus_check(formula, clause, pivot):
+    # one public outer resolvent and one public addition test per partner
+    for partner in formula.matrix:
+        if -pivot not in partner:
+            continue
+        resolvent = outer_resolvent(formula.prefix, clause, partner, pivot)
+        if resolvent is not TAUTOLOGY and not dqat_check(formula, resolvent):
+            return False
+    return True
+
+
+def dqrat_verdict(check, scope, clause, pivot):
+    try:
+        return check(scope, clause, pivot)
+    except KernelUndefined:
+        return KernelUndefined
+
+
+def assert_dqrat_checks_match_reference(formula):
+    # every clause against the rest, on one store, as the sweep checks
+    # it; returns the verdicts seen
+    store = ClauseStore(formula)
+    seen = set()
+    for cid, clause in enumerate(formula.matrix):
+        rest = Dqbf(formula.prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
+        with store.hidden(cid):
+            for pivot in clause:
+                verdict = dqrat_verdict(dqrat_plus_check, store, clause, pivot)
+                assert verdict == dqrat_verdict(reference_dqrat_plus_check,
+                                                rest, clause, pivot)
+                seen.add(verdict)
+    return seen
+
+
+@given(formulas())
+def test_dqrat_check_on_a_store_matches_reference(formula):
+    assert_dqrat_checks_match_reference(formula)
+
+
+def test_dqrat_check_matches_reference_on_fuzz_stream():
+    seen = set()
+    for formula in fuzz(17, 400, FuzzBounds(4, 6, 14, 4)):
+        seen |= assert_dqrat_checks_match_reference(formula)
+    assert seen == {True, False, KernelUndefined}
 
 
 def test_dqrat_pass_deletes_lone_supported_clause():
