@@ -13,8 +13,10 @@ Example:
 
 import argparse
 import sys
+from collections import Counter
 
 from dqprep import FuzzBounds, PipelineConfig, Verdict, fuzz, run_pipeline
+from dqprep.reports import merge_reports
 
 
 def parse_args(argv):
@@ -39,26 +41,14 @@ def main(argv=None):
     bounds = FuzzBounds(args.max_universals, args.max_existentials,
                         args.max_clauses, args.max_clause_width)
     verdicts = {Verdict.SAT: 0, Verdict.UNSAT: 0, Verdict.UNKNOWN: 0}
-    totals = {}
-    applications = {}
-    effective = {}
+    reports = []
     for formula in fuzz(args.seed, args.count, bounds):
-        _, reports, verdict = run_pipeline(config, formula)
+        _, formula_reports, verdict = run_pipeline(config, formula)
         verdicts[verdict] += 1
-        for report in reports:
-            entry = totals.setdefault(report.name, {
-                "clauses_removed": 0, "clauses_shortened": 0,
-                "units_added": 0, "equivalences_added": 0,
-                "conflicts": 0, "wall_time": 0.0})
-            applications[report.name] = applications.get(report.name, 0) + 1
-            if report.changed:
-                effective[report.name] = effective.get(report.name, 0) + 1
-            entry["clauses_removed"] += report.clauses_removed
-            entry["clauses_shortened"] += report.clauses_shortened
-            entry["units_added"] += report.units_added
-            entry["equivalences_added"] += report.equivalences_added
-            entry["conflicts"] += report.conflicts
-            entry["wall_time"] += report.wall_time
+        reports.extend(formula_reports)
+    totals = merge_reports(reports)
+    applications = Counter(report.name for report in reports)
+    effective = Counter(report.name for report in reports if report.changed)
     print(f"formulas={args.count} seed={args.seed} sat={verdicts[Verdict.SAT]} "
           f"unsat={verdicts[Verdict.UNSAT]} unknown={verdicts[Verdict.UNKNOWN]}")
     header = (f"{'pass':>8} {'runs':>7} {'hits':>7} {'removed':>8} "
@@ -67,11 +57,11 @@ def main(argv=None):
     for name in config.passes:
         if name not in totals:
             continue
-        entry = totals[name]
-        print(f"{name:>8} {applications[name]:>7} {effective.get(name, 0):>7} "
-              f"{entry['clauses_removed']:>8} {entry['clauses_shortened']:>8} "
-              f"{entry['units_added']:>7} {entry['equivalences_added']:>7} "
-              f"{entry['conflicts']:>6} {entry['wall_time']:>8.3f}")
+        total = totals[name]
+        print(f"{name:>8} {applications[name]:>7} {effective[name]:>7} "
+              f"{total.clauses_removed:>8} {total.clauses_shortened:>8} "
+              f"{total.units_added:>7} {total.equivalences_added:>7} "
+              f"{total.conflicts:>6} {total.wall_time:>8.3f}")
     return 0
 
 

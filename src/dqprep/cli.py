@@ -21,7 +21,7 @@ from .dqdimacs import emit_dqdimacs, parse_dqdimacs
 from .errors import ContractViolation, ParseError, VerificationError
 from .pipeline import (PASS_NAMES, FuzzBounds, PipelineConfig, Verdict, fuzz,
                        run_pipeline)
-from .reports import PassReport
+from .reports import PassReport, merge_reports
 
 EXIT_UNKNOWN = 0
 EXIT_SAT = 10
@@ -90,21 +90,12 @@ def _emit_stats(stats: dict[str, object], reports: list[PassReport],
         return
     for key, value in stats.items():
         print(f"{key}={value}", file=sys.stderr)
-    totals: dict[str, PassReport] = {}
-    for report in reports:
-        merged = totals.setdefault(report.name, PassReport(report.name))
-        merged.clauses_removed += report.clauses_removed
-        merged.clauses_shortened += report.clauses_shortened
-        merged.units_added += report.units_added
-        merged.equivalences_added += report.equivalences_added
-        merged.conflicts += report.conflicts
-        merged.wall_time += report.wall_time
-    for name, merged in totals.items():
+    for name, merged in merge_reports(reports).items():
         for key, value in merged.as_dict().items():
             if key == "name":
                 continue
             if key == "wall_time":
-                value = f"{merged.wall_time:.6f}"
+                value = f"{value:.6f}"
             print(f"{name}.{key}={value}", file=sys.stderr)
 
 

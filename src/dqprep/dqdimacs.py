@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .errors import ParseError
-from .formula import Dqbf, Prefix, TAUTOLOGY, normalize_clause
+from .formula import Canonical, Dqbf, Prefix, TAUTOLOGY, normalize_clause
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,8 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
             diagnostics.append(ParseDiagnostic(line, "tautological clause dropped"))
             continue
         kept.append(clause)
-    formula = Dqbf(Prefix(frozenset(universals), existentials), tuple(kept))
+    # every clause is normalized and every variable declared by now
+    formula = Dqbf(Prefix(frozenset(universals), existentials), Canonical(kept))
     return ParseResult(formula, tuple(diagnostics))
 
 

@@ -5,6 +5,16 @@ is a non-zero integer, negative for a negated variable. Clauses are
 duplicate-free tuples sorted by (variable, polarity) so equality is
 structural; a matrix is an ordered, duplicate-free tuple of clauses.
 
+Clauses become canonical once, where they enter the program: in the
+parser, and in `Dqbf(...)` for a matrix a caller hands in. There every
+clause is normalized, tautologies are dropped, and a clause over an
+undeclared variable is a CompatibilityError. Matrices the package
+builds from clauses that are already canonical (pass results, the
+propagation fixpoint, the parser's output) are marked `Canonical`:
+every clause is a canonical, non-tautological clause over the prefix
+it is paired with, so `Dqbf` only drops repeated clauses, keeping the
+first occurrence, and skips the rest.
+
 All values are immutable once constructed and safe to share between
 threads; every operation returns a new value.
 """
@@ -61,6 +71,15 @@ def normalize_clause(literals: Iterable[Literal]) -> Clause | _TautologyType:
     return tuple(sorted(seen, key=literal_key))
 
 
+class Canonical(tuple):
+    """A matrix of canonical, non-tautological clauses whose variables all
+    belong to the prefix of the Dqbf built from it; repeated clauses are
+    allowed. Internal: the producer vouches for the contract, `Dqbf`
+    does not check it."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class Prefix:
     """Quantifier prefix: universal variables plus a dependency map for
@@ -107,13 +126,17 @@ class Dqbf:
     """A quantifier prefix together with a CNF matrix.
 
     The matrix keeps insertion order but never holds duplicate or
-    tautological clauses; every clause variable must be quantified.
+    tautological clauses; every clause variable must be quantified. A
+    `Canonical` matrix is only freed of repeated clauses.
     """
 
     prefix: Prefix
     matrix: tuple[Clause, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.matrix) is Canonical:
+            object.__setattr__(self, "matrix", tuple(dict.fromkeys(self.matrix)))
+            return
         known = self.prefix.variables
         clauses: list[Clause] = []
         seen: set[Clause] = set()
@@ -145,18 +168,19 @@ def dep(scope: Dqbf | Prefix, target: int | Iterable[int]) -> frozenset[int]:
     the union over its literals.
     """
     prefix = scope.prefix if isinstance(scope, Dqbf) else scope
+    universals, existentials = prefix.universals, prefix.existentials
     if isinstance(target, int):
-        var = abs(target)
-        if var in prefix.universals:
-            return frozenset((var,))
-        deps = prefix.existentials.get(var)
-        if deps is None:
-            raise CompatibilityError(f"variable {var} is not in the prefix")
-        return deps
-    out: frozenset[int] = frozenset()
+        target = (target,)
+    out: set[int] = set()
     for lit in target:
-        out |= dep(prefix, int(lit))
-    return out
+        var = abs(int(lit))
+        if var in universals:
+            out.add(var)
+        elif var in existentials:
+            out.update(existentials[var])
+        else:
+            raise CompatibilityError(f"variable {var} is not in the prefix")
+    return frozenset(out)
 
 
 def prefix_remove(prefix: Prefix, var: int) -> Prefix:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from . import oracle
 from .dqdimacs import emit_dqdimacs
 from .errors import BudgetError, ContractViolation, VerificationError
-from .formula import TAUTOLOGY, Dqbf, Prefix, literal_key, normalize_clause
+from .formula import (TAUTOLOGY, Canonical, Dqbf, Prefix, literal_key,
+                      normalize_clause)
 from .propagation import (PropagationOutcome, unit_propagate,
                           universal_reduce_clause)
 from .reports import PassReport
@@ -72,7 +73,7 @@ def _run_ur(formula: Dqbf) -> tuple[Dqbf, PassReport, None]:
         shorter = universal_reduce_clause(formula.prefix, clause)
         report.clauses_shortened += len(shorter) < len(clause)
         reduced.append(shorter)
-    after = Dqbf(formula.prefix, tuple(reduced))
+    after = Dqbf(formula.prefix, Canonical(reduced))
     report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
     if () in after.matrix and () not in formula.matrix:
         report.conflicts = 1
@@ -129,7 +130,7 @@ def _verify_pass(name: str, before: Dqbf, after: Dqbf,
                                        "propagation conflict on a satisfiable formula")
             else:
                 units = tuple((u,) for u in sorted(outcome.units, key=literal_key))
-                with_units = Dqbf(before.prefix, before.matrix + units)
+                with_units = Dqbf(before.prefix, Canonical(before.matrix + units))
                 if not oracle.equivalent(before, with_units, config.budget):
                     _fail_verification(name, before, after,
                                        "derived units are not implied")

@@ -17,22 +17,26 @@ place. Dqbf stays the immutable boundary type: `unit_propagate` and the
 public probes accept a Dqbf and build a store from it.
 
 Propagation decides whether a visited clause is a unit or empty in one
-scan of it (`_unit`), without building the reduced clause. `_reduce`
-builds it only where it is the result: `universal_reduce_clause`,
-`universal_reduce`, the fixpoint formula of `ClauseStore.outcome`, and
-the store's seed clauses when a clause is added or replaced.
+scan of it (`_unit`), without building the reduced clause; so does the
+store when it decides, for a clause added or replaced, whether it is a
+seed. `_reduce` builds the reduced clause only where it is the result:
+`universal_reduce_clause`, `universal_reduce` and the fixpoint formula
+of `ClauseStore.outcome`. The formulas the store and the reductions
+hand back are marked `Canonical`, so `Dqbf` does not normalize their
+clauses again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation
 from .formula import (
+    Canonical,
     Clause,
     Dqbf,
     Prefix,
@@ -41,6 +45,8 @@ from .formula import (
     is_compatible,
     normalize_clause,
 )
+
+_NOTHING: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def _reduce(clause: Sequence[int], existentials: Mapping[int, frozenset[int]],
                  or abs(l) in abstracted or abs(l) in support)
 
 
-def _unit(clause: Clause, true: set[int],
+def _unit(clause: Clause, true: Container[int],
           existentials: Mapping[int, frozenset[int]],
           abstracted: frozenset[int]) -> int | None:
     # the reduced clause under the assignment `true`, decided in one scan
@@ -116,7 +122,7 @@ def universal_reduce_clause(prefix: Prefix, clause: Iterable[int]) -> Clause:
 def universal_reduce(formula: Dqbf) -> Dqbf:
     """Apply clause-wise universal reduction; the prefix is unchanged."""
     exist = formula.prefix.existentials
-    return Dqbf(formula.prefix, tuple(_reduce(c, exist) for c in formula.matrix))
+    return Dqbf(formula.prefix, Canonical(_reduce(c, exist) for c in formula.matrix))
 
 
 class ClauseStore:
@@ -158,7 +164,7 @@ class ClauseStore:
         return scope if isinstance(scope, ClauseStore) else ClauseStore(scope)
 
     def formula(self) -> Dqbf:
-        return Dqbf(self.prefix, tuple(c for c in self.clauses if c is not None))
+        return Dqbf(self.prefix, Canonical(c for c in self.clauses if c is not None))
 
     def find(self, clause: Clause) -> int | None:
         """Id of the clause equal to a canonical clause, if present."""
@@ -186,7 +192,7 @@ class ClauseStore:
                 occurrences[lit] = [cid]
             else:
                 ids.append(cid)
-        if len(_reduce(clause, self.prefix.existentials)) <= 1:
+        if self._is_seed(clause):
             self.seeds.append(cid)
 
     def delete(self, cid: int) -> None:
@@ -204,9 +210,13 @@ class ClauseStore:
             if lit not in clause:
                 self.occurrences[lit].remove(cid)
         at = bisect_left(self.seeds, cid)
-        if ((at == len(self.seeds) or self.seeds[at] != cid)
-                and len(_reduce(clause, self.prefix.existentials)) <= 1):
+        if (at == len(self.seeds) or self.seeds[at] != cid) and self._is_seed(clause):
             self.seeds.insert(at, cid)
+
+    def _is_seed(self, clause: Clause) -> bool:
+        # universal reduction leaves at most one literal: `_unit` decides
+        # it under the empty assignment, without building the reduced clause
+        return _unit(clause, _NOTHING, self.prefix.existentials, _NOTHING) is not None
 
     @contextmanager
     def hidden(self, cid: int) -> Iterator[Clause]:
@@ -304,7 +314,8 @@ class ClauseStore:
             existentials.update((v, frozenset()) for v in abstracted
                                 if v not in true and -v not in true)
         prefix = Prefix(self.prefix.universals - abstracted, existentials)
-        survivors = tuple(
+        # subsequences of canonical clauses over the unassigned variables
+        survivors = Canonical(
             _reduce(tuple(l for l in c if -l not in true),
                     self.prefix.existentials, abstracted)
             for c in self.clauses

@@ -1,8 +1,9 @@
-"""Per-pass bookkeeping shared by the pipeline and the CLI."""
+"""Per-pass bookkeeping shared by the pipeline, the CLI and the scripts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass
@@ -24,12 +25,16 @@ class PassReport:
                     or self.conflicts)
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "clauses_removed": self.clauses_removed,
-            "clauses_shortened": self.clauses_shortened,
-            "units_added": self.units_added,
-            "equivalences_added": self.equivalences_added,
-            "conflicts": self.conflicts,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
+
+
+def merge_reports(reports: Iterable[PassReport]) -> dict[str, PassReport]:
+    """One report per pass name, in order of first appearance, holding the
+    sums of every counter and of the wall time of that pass's reports."""
+    totals: dict[str, PassReport] = {}
+    summed = [f.name for f in fields(PassReport) if f.name != "name"]
+    for report in reports:
+        total = totals.setdefault(report.name, PassReport(report.name))
+        for key in summed:
+            setattr(total, key, getattr(total, key) + getattr(report, key))
+    return totals

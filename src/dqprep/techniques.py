@@ -28,8 +28,8 @@ import enum
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
-from .formula import (TAUTOLOGY, Clause, Dqbf, Prefix, dep, is_compatible,
-                      literal_key, normalize_clause)
+from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, dep,
+                      is_compatible, literal_key, normalize_clause)
 from .propagation import ClauseStore, dqat_check, universal_reduce_clause
 from .reports import PassReport
 
@@ -173,10 +173,11 @@ def upla_probe(formula: Dqbf | ClauseStore, var: int) -> UplaFindings:
 
 
 def upla_apply(formula: Dqbf, findings: UplaFindings) -> Dqbf:
-    """Graft probe findings onto the formula as clauses."""
+    """Graft the findings of `upla_probe` on this formula onto it as
+    clauses."""
     if findings.contradictory:
         return Dqbf(formula.prefix, ((),))
-    return Dqbf(formula.prefix, formula.matrix + _additions(findings))
+    return Dqbf(formula.prefix, Canonical(formula.matrix + _additions(findings)))
 
 
 def _additions(findings: UplaFindings) -> tuple[Clause, ...]:

@@ -8,10 +8,16 @@ enough that every generated formula fits the oracle budget.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 import hypothesis.strategies as st
 import pytest
 
 from dqprep import Dqbf, Prefix, TAUTOLOGY, normalize_clause, oracle
+from dqprep.formula import Canonical
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -44,6 +50,52 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(oracle, "_mask_kernel", counting_kernel)
     oracle._remembered_mask.cache_clear()
     return calls
+
+
+@contextmanager
+def checking_canonical() -> Iterator[Counter]:
+    """Inside the block, check every Dqbf built from a matrix marked
+    `Canonical` against a fully validated construction from the same
+    clauses: they must be equal, so every marked clause was already
+    canonical, non-tautological and over the prefix. Yields how many
+    such formulas each producer (the function calling `Dqbf`) built."""
+    producers: Counter = Counter()
+    init = Dqbf.__post_init__
+
+    def checked_init(self: Dqbf) -> None:
+        matrix = self.matrix
+        init(self)
+        if type(matrix) is Canonical:
+            # frame 1 is the dataclass __init__, frame 2 its caller
+            producer = sys._getframe(2).f_code.co_name
+            producers[producer] += 1
+            assert type(self.matrix) is tuple
+            assert self == Dqbf(self.prefix, tuple(matrix)), (
+                f"{producer} marked a matrix canonical that is not: {matrix}")
+
+    Dqbf.__post_init__ = checked_init
+    try:
+        yield producers
+    finally:
+        Dqbf.__post_init__ = init
+
+
+@pytest.fixture
+def canonical_producers() -> Iterator[Counter]:
+    """`checking_canonical` for the duration of a test."""
+    with checking_canonical() as producers:
+        yield producers
+
+
+def chain(links: int) -> Dqbf:
+    """x_0 and x_i -> x_(i+1) for every link, each link carrying a literal
+    of universal 2, on which no existential depends; listed backwards so
+    that every unit comes after the clauses it shortens."""
+    first = 3
+    prefix = Prefix(frozenset({1, 2}),
+                    {first + i: frozenset({1}) for i in range(links + 1)})
+    matrix = [(-(first + i), first + i + 1, 2) for i in reversed(range(links))]
+    return Dqbf(prefix, tuple(matrix) + ((first,),))
 
 
 def oracle_bits(formula: Dqbf) -> int:

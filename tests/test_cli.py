@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,24 @@ def test_fuzz_run_reports_verdict_counts(capsys):
     assert "sat=45" in err
     assert "unsat=55" in err
     assert "unknown=0" in err
+
+
+def test_per_pass_stats_on_stderr(capsys):
+    # one block per pass, in order of first run, summed over all runs
+    assert main(["--fuzz", "60", "--seed", "2", "--passes", "up,ur,upla"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[:5] == ["formulas=60", "seed=2", "sat=20", "unsat=34", "unknown=6"]
+    keys = ("clauses_removed", "clauses_shortened", "units_added",
+            "equivalences_added", "conflicts")
+    counters = {"up": (22, 0, 12, 0, 34), "ur": (0, 0, 0, 0, 0),
+                "upla": (0, 0, 4, 0, 0)}
+    expected = []
+    for name, values in counters.items():
+        expected += [f"{name}.{key}={value}" for key, value in zip(keys, values)]
+        expected.append(rf"{name}\.wall_time=\d+\.\d{{6}}")
+    assert len(lines) == 5 + len(expected)
+    for line, want in zip(lines[5:], expected):
+        assert re.fullmatch(want, line) if "wall_time" in want else line == want, line
 
 
 def test_fuzz_run_with_verification(capsys):

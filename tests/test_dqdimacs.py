@@ -4,8 +4,9 @@ import io
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import formulas
+from conftest import checking_canonical, formulas
 from dqprep import Dqbf, ParseError, Prefix, emit_dqdimacs, parse_dqdimacs
 
 EXAMPLE = """\
@@ -153,3 +154,62 @@ def test_emit_empty_formula():
 @given(formulas())
 def test_round_trip_identity(formula):
     assert parse_dqdimacs(emit_dqdimacs(formula)).formula == formula
+
+
+# -- properties over arbitrary input -----------------------------------------
+
+JUNK = ("p", "cnf", "a", "e", "d", "c", "0", "-0", "+2", "x", "007", "9" * 5000)
+
+
+@st.composite
+def dqdimacs_like(draw) -> str:
+    """Usually a header, quantifier lines, then clause lines, with a line
+    of format tokens and junk sometimes mixed in, so that many draws
+    parse and the rest mostly fail past the first line."""
+    header = draw(st.sampled_from(("p cnf 5 3",) * 4 + ("p cnf 2 1", "c")))
+    quantifiers = draw(st.lists(st.builds(
+        lambda head, values: " ".join([head, *map(str, values), "0"]),
+        st.sampled_from("aaed"), st.lists(st.integers(1, 5), max_size=3)),
+        max_size=3))
+    clauses = draw(st.lists(st.lists(st.integers(-5, 5), max_size=4).map(
+        lambda lits: " ".join([*map(str, lits), "0"])), max_size=5))
+    lines = [header, *quantifiers, *clauses]
+    if draw(st.integers(0, 3)) == 0:
+        junk = " ".join(draw(st.lists(st.sampled_from(JUNK), max_size=5)))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines)
+
+
+def parse_or_none(text):
+    try:
+        return parse_dqdimacs(text)
+    except ParseError:
+        return None
+
+
+@given(st.one_of(
+    st.text(),
+    st.binary().map(lambda b: b.decode("utf-8", errors="surrogateescape")),
+    dqdimacs_like()))
+def test_parser_returns_a_formula_or_raises_parse_error(text):
+    # any other exception escapes and fails the test
+    parse_or_none(text)
+
+
+@given(dqdimacs_like())
+def test_parsed_formula_equals_its_validated_reconstruction(text):
+    with checking_canonical() as producers:
+        parsed = parse_or_none(text)
+    if parsed is not None:
+        formula = parsed.formula
+        assert producers == {"parse_dqdimacs": 1}
+        assert formula == Dqbf(formula.prefix, tuple(formula.matrix))
+
+
+@given(st.one_of(formulas().map(emit_dqdimacs),
+                 dqdimacs_like().map(parse_or_none)
+                 .filter(lambda parsed: parsed is not None)
+                 .map(lambda parsed: emit_dqdimacs(parsed.formula))))
+def test_emit_after_parse_is_the_identity_on_emitted_text(text):
+    assert emit_dqdimacs(parse_dqdimacs(text).formula) == text

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import formulas, prefixes
 from dqprep import (TAUTOLOGY, CompatibilityError, ContractViolation, Dqbf,
@@ -105,6 +106,26 @@ def test_dep_clause_equals_literal_union(formula):
         union = frozenset().union(*(dep(formula, l) for l in clause)) \
             if clause else frozenset()
         assert dep(formula, clause) == union
+
+
+@given(formulas(), st.data())
+def test_dep_clause_is_the_union_of_its_literals_or_raises(formula, data):
+    # a drawn clause may use variables 1..10, some of them outside the prefix
+    prefix = formula.prefix
+    clause = data.draw(st.lists(st.integers(1, 10).flatmap(
+        lambda v: st.sampled_from((v, -v))), max_size=4))
+    per_literal = []
+    for lit in clause:
+        var = abs(lit)
+        if var in prefix.universals:
+            per_literal.append(frozenset((var,)))
+        elif var in prefix.existentials:
+            per_literal.append(prefix.existentials[var])
+        else:
+            with pytest.raises(CompatibilityError):
+                dep(prefix, clause)
+            return
+    assert dep(formula, clause) == frozenset().union(*per_literal)
 
 
 def test_prefix_remove_existential():

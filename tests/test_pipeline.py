@@ -10,7 +10,7 @@ from dqprep import (ContractViolation, Dqbf, FuzzBounds, PASS_NAMES,
                     PipelineConfig, Prefix, Verdict, VerificationError,
                     equisatisfiable, equivalent, fuzz, run_pipeline,
                     solve_brute)
-from dqprep.reports import PassReport
+from dqprep.reports import PassReport, merge_reports
 
 
 def u_e(universals, existentials):
@@ -210,3 +210,17 @@ def test_fuzz_respects_bounds():
 def test_fuzz_default_bounds_mostly_fit_the_oracle():
     sample = list(fuzz(0, 300))
     assert sum(in_oracle_budget(f) for f in sample) >= 295
+
+
+def test_merge_reports_sums_each_pass_in_order_of_first_appearance():
+    reports = [PassReport("up", units_added=2, wall_time=0.5),
+               PassReport("ur", clauses_shortened=1, conflicts=1),
+               PassReport("up", clauses_removed=3, units_added=1, wall_time=0.25)]
+    totals = merge_reports(reports)
+    assert list(totals) == ["up", "ur"]
+    assert totals["up"].as_dict() == {
+        "name": "up", "clauses_removed": 3, "clauses_shortened": 0,
+        "units_added": 3, "equivalences_added": 0, "conflicts": 0,
+        "wall_time": 0.75}
+    assert totals["ur"] == PassReport("ur", clauses_shortened=1, conflicts=1)
+    assert reports[0].units_added == 2  # the inputs are left alone

@@ -2,6 +2,7 @@
 every verdict against the oracle, and the per-pass effect survey."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,22 @@ def test_pass_stats_reports_every_pass():
     assert run.returncode == 0, run.stderr
     rows = {line.split()[0] for line in run.stdout.splitlines()[2:]}
     assert rows == set(PASS_NAMES)
+
+
+def test_pass_stats_table():
+    run = run_script("pass_stats.py", "--count", "100")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:2] == [
+        "formulas=100 seed=0 sat=40 unsat=60 unknown=0",
+        "    pass    runs    hits  removed  shorter   units  equivs  confl     secs",
+    ]
+    # every column but the seconds, which vary from run to run
+    assert [line.rsplit(None, 1)[0] for line in lines[2:]] == [
+        "      ur     100      57       37      114       0       0     49",
+        "      up      32      24       25        0      17       0     11",
+        "    upla      10       0        0        0       0       0      0",
+        "  vivify      10       1        0        1       0       0      0",
+        "   dqrat      10      10       13        0       0       0      0",
+    ]
+    assert all(re.fullmatch(r"\d+\.\d{3}", line.split()[-1]) for line in lines[2:])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dqprep import (Dqbf, FuzzBounds, PipelineConfig, Prefix, emit_dqdimacs,
                     fuzz, normalize_clause, run_pipeline)
 from dqprep.propagation import ClauseStore, abstract
+from conftest import chain
 from reference_propagation import scan_unit_propagate
 
 GOLDEN = Path(__file__).with_name("golden_fuzz_0_500.json")
@@ -214,17 +215,6 @@ def test_default_schedule_outputs_match_golden_hashes():
                run_pipeline(PipelineConfig(), formula)[0]).encode()).hexdigest()
            for formula in fuzz(0, 500)]
     assert got == expected
-
-
-def chain(links: int) -> Dqbf:
-    """x_0 and x_i -> x_(i+1) for every link, each link carrying a literal
-    of universal 2, on which no existential depends; listed backwards so
-    that every unit comes after the clauses it shortens."""
-    first = 3
-    prefix = Prefix(frozenset({1, 2}),
-                    {first + i: frozenset({1}) for i in range(links + 1)})
-    matrix = [(-(first + i), first + i + 1, 2) for i in reversed(range(links))]
-    return Dqbf(prefix, tuple(matrix) + ((first,),))
 
 
 def test_chain_propagation_visits_grow_linearly():
