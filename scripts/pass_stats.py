@@ -15,34 +15,23 @@ import argparse
 import sys
 from collections import Counter
 
-from dqprep import FuzzBounds, PipelineConfig, Verdict, fuzz, run_pipeline
+from dqprep import PipelineConfig, Verdict, fuzz, run_pipeline
+from dqprep.cli import add_fuzz_arguments, fuzz_bounds
 from dqprep.reports import merge_reports
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--passes", default=None,
-                        help="comma-separated pass list (default: all)")
-    parser.add_argument("--max-universals", type=int, default=3)
-    parser.add_argument("--max-existentials", type=int, default=3)
-    parser.add_argument("--max-clauses", type=int, default=8)
-    parser.add_argument("--max-clause-width", type=int, default=4)
+    add_fuzz_arguments(parser)
     return parser.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
-    kwargs = {}
-    if args.passes:
-        kwargs["passes"] = tuple(p.strip() for p in args.passes.split(","))
-    config = PipelineConfig(**kwargs)
-    bounds = FuzzBounds(args.max_universals, args.max_existentials,
-                        args.max_clauses, args.max_clause_width)
+    config = PipelineConfig(passes=args.passes)
     verdicts = {Verdict.SAT: 0, Verdict.UNSAT: 0, Verdict.UNKNOWN: 0}
     reports = []
-    for formula in fuzz(args.seed, args.count, bounds):
+    for formula in fuzz(args.seed, args.count, fuzz_bounds(args)):
         _, formula_reports, verdict = run_pipeline(config, formula)
         verdicts[verdict] += 1
         reports.extend(formula_reports)

@@ -16,12 +16,15 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import fields
 
+from . import oracle
 from .dqdimacs import emit_dqdimacs, parse_dqdimacs
 from .errors import ContractViolation, ParseError, VerificationError
 from .pipeline import (PASS_NAMES, FuzzBounds, PipelineConfig, Verdict, fuzz,
                        run_pipeline)
 from .reports import PassReport, merge_reports
+from .techniques import DEFAULT_VIVIFY_BUDGET
 
 EXIT_UNKNOWN = 0
 EXIT_SAT = 10
@@ -47,6 +50,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _pass_list(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def add_fuzz_arguments(
+        parser: argparse.ArgumentParser, count: str = "--count",
+        count_default: int | None = 1000,
+        count_help: str = "number of random formulas (default %(default)s)",
+        bounds: bool = True) -> None:
+    """Declare the arguments of a run over `fuzz` formulas: their number
+    (under the flag `count`), `--seed`, `--passes` (parsed into a tuple
+    of names, all of them by default) and, if `bounds`, one flag per
+    `FuzzBounds` field with its default; `fuzz_bounds` reads those."""
+    parser.add_argument(count, type=int, default=count_default, metavar="N",
+                        help=count_help)
+    parser.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="random seed of the formulas (default 0)")
+    parser.add_argument("--passes", type=_pass_list, default=",".join(PASS_NAMES),
+                        metavar="CSV",
+                        help="comma-separated pass list out of "
+                             f"{{{','.join(PASS_NAMES)}}} (default: all)")
+    if bounds:
+        for limit in fields(FuzzBounds):
+            parser.add_argument("--" + limit.name.replace("_", "-"), type=int,
+                                default=limit.default, metavar="N",
+                                help=f"default {limit.default}")
+
+
+def fuzz_bounds(args: argparse.Namespace) -> FuzzBounds:
+    """The FuzzBounds declared by `add_fuzz_arguments`."""
+    return FuzzBounds(*(getattr(args, limit.name) for limit in fields(FuzzBounds)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dqprep",
@@ -55,25 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "redundancy elimination.")
     parser.add_argument("input", nargs="?",
                         help="input file; '-' or no argument reads standard input")
-    parser.add_argument("--passes", default=",".join(PASS_NAMES), metavar="CSV",
-                        help="comma-separated pass list out of "
-                             f"{{{','.join(PASS_NAMES)}}} (default: all)")
-    parser.add_argument("--max-rounds", type=int, default=10, metavar="N",
-                        help="repeat the pass list up to N rounds (default 10)")
-    parser.add_argument("--vivify-budget", type=int, default=10_000, metavar="N",
-                        help="propagation steps granted per vivified clause")
+    add_fuzz_arguments(parser, "--fuzz", None,
+                       "skip input; run the pipeline on N random formulas",
+                       bounds=False)
+    parser.add_argument("--max-rounds", type=int, default=PipelineConfig.max_rounds,
+                        metavar="N",
+                        help="run the pass list for at most N rounds (default "
+                             "%(default)s); a pass proven to change nothing is "
+                             "skipped, which leaves this cap unchanged")
+    parser.add_argument("--vivify-budget", type=int, default=DEFAULT_VIVIFY_BUDGET,
+                        metavar="N",
+                        help="propagation steps granted per vivified clause "
+                             "(default %(default)s)")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check every pass against the semantic oracle")
-    parser.add_argument("--fuzz", type=int, metavar="N",
-                        help="skip input; run the pipeline on N random formulas")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="random seed for --fuzz (default 0)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the preprocessed formula here instead of stdout")
     parser.add_argument("--stats-json", metavar="PATH",
                         help="write statistics as JSON to PATH instead of stderr")
-    parser.add_argument("--oracle-budget", type=int, default=20, metavar="N",
-                        help="oracle work cap as an exponent (default 20)")
+    parser.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_BUDGET,
+                        metavar="N",
+                        help="oracle work cap as an exponent (default %(default)s)")
     parser.add_argument("--upla-existential-only", action="store_true",
                         help="restrict lookahead probing to existential variables")
     return parser
@@ -173,7 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.fuzz is not None and args.fuzz < 0:
             parser.error("--fuzz needs a non-negative count")
         config = PipelineConfig(
-            passes=tuple(p.strip() for p in args.passes.split(",") if p.strip()),
+            passes=args.passes,
             max_rounds=args.max_rounds,
             vivify_budget=args.vivify_budget,
             verify=args.verify,

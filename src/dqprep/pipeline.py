@@ -1,12 +1,19 @@
 """Pass scheduling, oracle-backed verification, and a formula fuzzer.
 
-The pipeline applies a configured sequence of passes round after round
-until a whole round changes nothing or the round cap is hit. Deriving
+The pipeline applies a configured sequence of passes round after round,
+for at most `max_rounds` rounds. It keeps the set of passes proven to
+return the current formula unchanged (see `_settled_after`), skips a
+pass of that set when its turn comes, and stops as soon as every
+scheduled pass is in it, which may be mid-round. The skipped
+applications are exactly those that would return their input, so the
+formulas the run goes through, its output and its verdict are those of
+repeating the schedule until a whole round changes nothing. Deriving
 the empty clause settles the formula as unsatisfiable (the output is
 normalized to exactly one empty clause so it stays emittable); an empty
-matrix settles it as satisfiable. In verify mode every single pass
-application is cross-checked against the semantic oracle, with budget
-overruns logged and skipped rather than silently ignored.
+matrix settles it as satisfiable. In verify mode every pass application
+that runs is cross-checked against the semantic oracle, with budget
+overruns logged and skipped rather than silently ignored; a skipped
+pass has nothing to check.
 """
 
 from __future__ import annotations
@@ -149,14 +156,58 @@ def _verify_pass(name: str, before: Dqbf, after: Dqbf,
         log.warning("verification of %s pass skipped: %s", name, exc)
 
 
+# Passes proven to return a formula unchanged, by the pass that made it
+# (rules 2 and 3 of `_settled_after`).
+_SETTLED_BY_CHANGE = {"ur": frozenset({"ur"}), "up": frozenset({"ur", "up"})}
+
+
+def _settled_after(settled: frozenset[str], name: str, changed: bool
+                   ) -> frozenset[str]:
+    """The passes proven to return the current formula unchanged, after
+    pass `name` has run on a formula for which `settled` was that set,
+    and has changed it or not, without reaching a verdict.
+
+    1. No change: `settled` plus `name`. A pass is a deterministic
+       function of the formula and the configuration, so on the same
+       formula it returns the same formula again.
+    2. `ur` changed the formula: `{ur}`. Every clause of the result is
+       reduced, and a reduced clause reduces to itself: reduction keeps
+       every existential literal, hence the union of their dependency
+       sets, and the universal literals in that union. The clauses are
+       already distinct and in order, so `ur` returns an equal formula.
+    3. `up` changed the formula without a conflict: `{ur, up}`. Every
+       clause of the fixpoint formula of `ClauseStore.outcome` is
+       `_reduce`d over the unassigned variables, whose dependency sets
+       are unchanged, so `ur` keeps it as in rule 2. No clause of it
+       reduces to one literal or none. Suppose one did. Propagation
+       visited it when the last of its falsified literals was
+       processed (or, if none was, at the start as a seed), and saw it
+       as it ends: empty, which is a conflict, or a unit, which it
+       queued and then processed, satisfying and dropping the clause.
+       Either contradicts the clause being in a conflict-free result.
+       So a store built from the result has no seed, propagation on it
+       processes nothing, and `up` returns an equal formula.
+
+    Any other change leaves no pass proven: `{}`.
+    """
+    if not changed:
+        return settled | {name}
+    return _SETTLED_BY_CHANGE.get(name, frozenset())
+
+
 def run_pipeline(config: PipelineConfig, formula: Dqbf
                  ) -> tuple[Dqbf, list[PassReport], Verdict]:
-    """Run the configured passes to a round fixpoint or a verdict."""
+    """Run the configured passes until each is settled or a verdict is
+    reached, for at most `max_rounds` rounds; a settled pass is skipped
+    and makes no report."""
+    scheduled = frozenset(config.passes)
+    settled: frozenset[str] = frozenset()
     current = formula
     reports: list[PassReport] = []
     for _ in range(config.max_rounds):
-        changed = False
         for name in config.passes:
+            if name in settled:
+                continue
             before = current
             start = time.perf_counter()
             current, report, outcome = _apply_pass(name, current, config)
@@ -168,10 +219,9 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
                 return Dqbf(current.prefix, ((),)), reports, Verdict.UNSAT
             if not current.matrix:
                 return current, reports, Verdict.SAT
-            if current != before:
-                changed = True
-        if not changed:
-            break
+            settled = _settled_after(settled, name, current != before)
+            if settled >= scheduled:
+                return current, reports, Verdict.UNKNOWN
     return current, reports, Verdict.UNKNOWN
 
 

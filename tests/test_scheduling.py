@@ -1,0 +1,152 @@
+"""The settled-pass scheduler of `run_pipeline`: it runs the same formulas
+to the same outputs and verdicts as the plain round loop kept in
+`reference_pipeline`, and only leaves out applications that return their
+input; each rule that settles a pass after a change holds on its own;
+and a run that stops before the round cap stops at a fixpoint."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import chain, formulas
+from dqprep import (Dqbf, FuzzBounds, PASS_NAMES, PipelineConfig, Prefix,
+                    Verdict, emit_dqdimacs, fuzz, parse_dqdimacs, run_pipeline)
+from dqprep.pipeline import _apply_pass
+from dqprep.reports import PassReport, merge_reports
+from reference_pipeline import reference_run_pipeline
+
+LARGER = FuzzBounds(4, 6, 14, 4)
+SCHEDULES = (PASS_NAMES, ("ur", "up"), ("dqrat", "vivify", "up"),
+             ("ur", "up", "vivify"), ("ur", "up", "upla", "vivify"),
+             ("up", "ur", "upla"))
+
+
+def assert_same_run(config: PipelineConfig, formula: Dqbf) -> None:
+    """The scheduler's run equals the plain loop's: the same output and
+    verdict, the same counter sums per pass, and its reports are the
+    plain loop's in order with only unchanged ones left out."""
+    out, reports, verdict = run_pipeline(config, formula)
+    plain_out, plain_reports, plain_verdict = reference_run_pipeline(config, formula)
+    assert (out, verdict) == (plain_out, plain_verdict)
+    totals, plain_totals = merge_reports(reports), merge_reports(plain_reports)
+    for name in config.passes:
+        nothing = PassReport(name)
+        assert totals.get(name, nothing) == plain_totals.get(name, nothing)
+    rest = iter(plain_reports)
+    excess = []
+    for report in reports:
+        for plain in rest:
+            if plain == report:
+                break
+            excess.append(plain)
+        else:
+            pytest.fail(f"{report} is not among the plain loop's reports")
+    excess.extend(rest)
+    assert not any(report.changed for report in excess)
+
+
+@given(formulas(), st.sampled_from(SCHEDULES), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_scheduler_matches_the_plain_loop(formula, passes, verify):
+    assert_same_run(PipelineConfig(passes=passes, verify=verify), formula)
+
+
+@pytest.mark.parametrize("passes,verify", list(product(SCHEDULES, (False, True))))
+def test_scheduler_matches_the_plain_loop_on_fuzz_streams(passes, verify):
+    config = PipelineConfig(passes=passes, verify=verify)
+    for formula in fuzz(13, 60 if verify else 1000, LARGER):
+        assert_same_run(config, formula)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2])
+def test_scheduler_keeps_the_round_cap(max_rounds):
+    for formula in fuzz(29, 150, LARGER):
+        assert_same_run(PipelineConfig(max_rounds=max_rounds), formula)
+
+
+def test_a_change_by_vivify_unsettles_up():
+    # `up` finds nothing until `vivify` has shortened (-1, 2) and (-1, 3)
+    # into units, two rounds later
+    prefix = Prefix(frozenset(), {1: frozenset(), 2: frozenset(), 3: frozenset()})
+    formula = Dqbf(prefix, ((-1, 2), (2, -3), (-1, 3), (1, 2, -3), (-2, -3)))
+    config = PipelineConfig(passes=("ur", "up", "vivify"))
+    assert_same_run(config, formula)
+    _, reports, _ = run_pipeline(config, formula)
+    changed = [r.name for r in reports if r.changed]
+    assert changed == ["vivify", "vivify", "up"]
+
+
+def test_an_unseeded_chain_takes_two_pass_applications():
+    # `ur` strips universal 2 from every link and `up` finds no unit;
+    # after that both are settled, so no round runs to confirm it
+    seeded = chain(400)
+    unseeded = Dqbf(seeded.prefix, seeded.matrix[:-1])
+    formula = parse_dqdimacs(emit_dqdimacs(unseeded)).formula
+    out, reports, verdict = run_pipeline(PipelineConfig(passes=("ur", "up")), formula)
+    assert verdict is Verdict.UNKNOWN and len(out.matrix) == 400
+    assert [r.name for r in reports] == ["ur", "up"]
+
+
+# -- the rules that settle a pass after a change -----------------------------
+
+
+def fuzz_formulas():
+    return st.builds(lambda seed: next(fuzz(seed, 1, LARGER)),
+                     st.integers(min_value=0, max_value=2 ** 32 - 1))
+
+
+def some_formula():
+    return st.one_of(formulas(), fuzz_formulas())
+
+
+def is_noop(name: str, formula: Dqbf) -> bool:
+    return _apply_pass(name, formula, PipelineConfig())[0] == formula
+
+
+@given(some_formula())
+@settings(max_examples=300, deadline=None)
+def test_ur_is_a_noop_on_its_own_result(formula):
+    reduced, _, _ = _apply_pass("ur", formula, PipelineConfig())
+    assert is_noop("ur", reduced)
+
+
+def propagated(formula: Dqbf) -> Dqbf | None:
+    """The result of `up`, or None on a conflict."""
+    result, _, outcome = _apply_pass("up", formula, PipelineConfig())
+    return None if outcome.conflict else result
+
+
+@given(some_formula())
+@settings(max_examples=300, deadline=None)
+def test_ur_is_a_noop_on_the_result_of_up(formula):
+    result = propagated(formula)
+    if result is not None:
+        assert is_noop("ur", result)
+
+
+@given(some_formula())
+@settings(max_examples=300, deadline=None)
+def test_up_is_a_noop_on_its_own_result(formula):
+    result = propagated(formula)
+    if result is not None:
+        assert is_noop("up", result)
+
+
+# -- a run that stops before the round cap stops at a fixpoint ---------------
+
+
+@given(some_formula(), st.sampled_from((PASS_NAMES, ("ur", "up", "upla", "vivify"))))
+@settings(max_examples=200, deadline=None)
+def test_output_is_a_fixpoint_of_every_scheduled_pass(formula, passes):
+    config = PipelineConfig(passes=passes, max_rounds=50)
+    out, reports, verdict = run_pipeline(config, formula)
+    # every round the run starts applies a pass, so fewer reports than
+    # rounds means the run stopped before the cap
+    if verdict is not Verdict.UNKNOWN or len(reports) >= config.max_rounds:
+        return
+    for name in passes:
+        assert _apply_pass(name, out, config)[0] == out, name
+    again, _, verdict = run_pipeline(config, out)
+    assert again == out and verdict is Verdict.UNKNOWN
