@@ -7,7 +7,8 @@ output stays parseable. Statistics go to standard error as key=value
 lines, or to a JSON file with --stats-json.
 
 Exit codes: 0 preprocessed without a verdict, 10 satisfiable,
-20 unsatisfiable, 1 usage or input error, 2 verification failure.
+20 unsatisfiable, 1 usage, input or output error, 2 verification
+failure.
 """
 
 from __future__ import annotations
@@ -117,15 +118,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> bool:
+    """Write the text to a file; on failure say why and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"dqprep: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _emit_stats(stats: dict[str, object], reports: list[PassReport],
-                path: str | None) -> None:
+                path: str | None) -> bool:
     if path is not None:
         payload = dict(stats)
         payload["passes"] = [r.as_dict() for r in reports]
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        return
+        return _write(path, json.dumps(payload, indent=2) + "\n")
     for key, value in stats.items():
         print(f"{key}={value}", file=sys.stderr)
     for name, merged in merge_reports(reports).items():
@@ -135,6 +144,7 @@ def _emit_stats(stats: dict[str, object], reports: list[PassReport],
             if key == "wall_time":
                 value = f"{value:.6f}"
             print(f"{name}.{key}={value}", file=sys.stderr)
+    return True
 
 
 def _run_fuzz(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -155,8 +165,7 @@ def _run_fuzz(args: argparse.Namespace, config: PipelineConfig) -> int:
         "unsat": counts[Verdict.UNSAT],
         "unknown": counts[Verdict.UNKNOWN],
     }
-    _emit_stats(stats, reports, args.stats_json)
-    return EXIT_UNKNOWN
+    return EXIT_UNKNOWN if _emit_stats(stats, reports, args.stats_json) else EXIT_USAGE
 
 
 def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -189,16 +198,16 @@ def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = emit_dqdimacs(result)
     if args.out is None:
         sys.stdout.write(output)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
+    elif not _write(args.out, output):
+        return EXIT_USAGE
     stats: dict[str, object] = {
         "verdict": verdict.value,
         "input_clauses": len(parsed.formula.matrix),
         "output_clauses": len(result.matrix),
         "wall_time": f"{sum(r.wall_time for r in reports):.6f}",
     }
-    _emit_stats(stats, reports, args.stats_json)
+    if not _emit_stats(stats, reports, args.stats_json):
+        return EXIT_USAGE
     return _VERDICT_CODES[verdict]
 
 

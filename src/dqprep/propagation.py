@@ -8,22 +8,20 @@ clause left with only such literals collapses to the empty clause, so a
 universal unit clause is a conflict rather than an assignment.
 
 Propagation runs on a ClauseStore: a mutable copy of a matrix with
-occurrence lists and a trail of processed literals. Every probe of the
-preprocessing passes runs on the one store its pass builds: it pushes
-assumptions, propagates under a set of abstracted universals, reads the
-trail and undoes it, so a probe costs what it propagates rather than
-the size of the matrix, and rewrites are committed to the store in
-place. Dqbf stays the immutable boundary type: `unit_propagate` and the
-public probes accept a Dqbf and build a store from it.
+occurrence lists and a trail of processed literals. A pass builds one
+store and runs every probe on it (push assumptions, propagate under a
+set of abstracted universals, read the trail, undo it), so a probe costs
+what it propagates, and commits its rewrites to the store in place.
 
-Propagation decides whether a visited clause is a unit or empty in one
-scan of it (`_unit`), without building the reduced clause; so does the
-store when it decides, for a clause added or replaced, whether it is a
-seed. `_reduce` builds the reduced clause only where it is the result:
-`universal_reduce_clause`, `universal_reduce` and the fixpoint formula
-of `ClauseStore.outcome`. The formulas the store and the reductions
-hand back are marked `Canonical`, so `Dqbf` does not normalize their
-clauses again.
+A clause handed to a public entry point is validated once, by
+`_checked`. A probe handed a Dqbf checks its clause and builds a store;
+a probe handed a ClauseStore takes its clause as canonical and over the
+store's prefix, as `Canonical` does a matrix, and checks nothing.
+
+`_unit` decides whether a visited clause is a unit or empty in one scan
+without building the reduced clause; `_reduce` builds it only where it
+is the result. Formulas the store and the reductions hand back are
+marked `Canonical`, so `Dqbf` does not normalize their clauses again.
 """
 
 from __future__ import annotations
@@ -108,15 +106,22 @@ def _unit(clause: Clause, true: Container[int],
     return unit
 
 
+def _checked(prefix: Prefix, clause: Iterable[int]) -> Clause:
+    # the canonical form of a clause handed to a public entry point;
+    # ContractViolation if tautological, CompatibilityError if over a
+    # variable the prefix does not declare
+    canon = normalize_clause(clause)
+    if canon is TAUTOLOGY:
+        raise ContractViolation("tautological clause")
+    if not is_compatible(prefix, canon):
+        raise CompatibilityError(f"clause {canon} uses variables outside the prefix")
+    return canon
+
+
 def universal_reduce_clause(prefix: Prefix, clause: Iterable[int]) -> Clause:
     """Delete every universal literal no existential literal of the clause
     may depend on. Preserves the set of Skolem functions."""
-    canon = normalize_clause(clause)
-    if canon is TAUTOLOGY:
-        raise ContractViolation("cannot reduce a tautological clause")
-    if not is_compatible(prefix, canon):
-        raise CompatibilityError(f"clause {canon} is not compatible with the prefix")
-    return _reduce(canon, prefix.existentials)
+    return _reduce(_checked(prefix, clause), prefix.existentials)
 
 
 def universal_reduce(formula: Dqbf) -> Dqbf:
@@ -158,11 +163,6 @@ class ClauseStore:
         for clause in formula.matrix:  # already free of duplicates
             self._add(clause)
 
-    @staticmethod
-    def of(scope: Dqbf | ClauseStore) -> ClauseStore:
-        """The store itself, or a fresh store holding the formula."""
-        return scope if isinstance(scope, ClauseStore) else ClauseStore(scope)
-
     def formula(self) -> Dqbf:
         return Dqbf(self.prefix, Canonical(c for c in self.clauses if c is not None))
 
@@ -175,10 +175,13 @@ class ClauseStore:
         return next((cid for cid in occurrences.get(rarest, ())
                      if self.clauses[cid] == clause), None)
 
-    def append(self, clause: Clause) -> None:
-        """Add a canonical clause after all others, unless it is present."""
-        if self.find(clause) is None:
+    def append(self, clause: Clause) -> bool:
+        """Add a canonical clause after all others unless it is present;
+        returns whether it was added."""
+        absent = self.find(clause) is None
+        if absent:
             self._add(clause)
+        return absent
 
     def _add(self, clause: Clause) -> None:
         cid = len(self.clauses)
@@ -212,6 +215,14 @@ class ClauseStore:
         at = bisect_left(self.seeds, cid)
         if (at == len(self.seeds) or self.seeds[at] != cid) and self._is_seed(clause):
             self.seeds.insert(at, cid)
+
+    def shorten(self, cid: int, clause: Clause) -> None:
+        """Put a canonical proper subset of a clause in its place, or delete
+        the clause if the subset is already present."""
+        if self.find(clause) is None:
+            self.replace(cid, clause)
+        else:
+            self.delete(cid)
 
     def _is_seed(self, clause: Clause) -> bool:
         # universal reduction leaves at most one literal: `_unit` decides
@@ -359,6 +370,15 @@ def abstract(formula: Dqbf, variables: Iterable[int]) -> Dqbf:
     return Dqbf(prefix, formula.matrix)
 
 
+def _store_and_clause(scope: Dqbf | ClauseStore,
+                      clause: Iterable[int]) -> tuple[ClauseStore, Clause]:
+    # a store is probed in place, its caller vouching for the clause; a
+    # Dqbf gets a fresh store and the clause is checked
+    if isinstance(scope, ClauseStore):
+        return scope, tuple(clause)
+    return ClauseStore(scope), _checked(scope.prefix, clause)
+
+
 def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     """Redundancy test: does assuming the clause's negation propagate to a
     conflict once every variable the clause may depend on is abstracted?
@@ -370,11 +390,6 @@ def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     sound; propagating without it can claim redundancy for clauses that
     genuinely constrain the formula. A ClauseStore is probed in place.
     """
-    canon = normalize_clause(clause)
-    if canon is TAUTOLOGY:
-        raise ContractViolation("tautological clauses need no redundancy test")
-    if not is_compatible(formula.prefix, canon):
-        raise CompatibilityError(f"clause {canon} is not compatible with the formula")
-    conflict, _ = ClauseStore.of(formula).probe(
-        [-lit for lit in canon], dep(formula.prefix, canon))
+    store, canon = _store_and_clause(formula, clause)
+    conflict, _ = store.probe([-lit for lit in canon], dep(store.prefix, canon))
     return conflict

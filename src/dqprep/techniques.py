@@ -11,11 +11,11 @@ tested literals may depend on; that abstraction is what keeps the
 conclusions sound under a dependency prefix.
 
 Each pass builds one ClauseStore from its input Dqbf, runs every probe
-on it (push assumptions, propagate, undo), commits each rewrite to it in
-place by replacing, deleting or appending a clause, and exports a Dqbf
-at the end. The clause under examination is hidden for its probes
-rather than copied out of the matrix. The public probes accept either a
-Dqbf, which they wrap in a fresh store, or the store of a running pass.
+on it with the clause under examination hidden, commits each rewrite in
+place (`ClauseStore.shorten`, `append`, `delete`) and exports a Dqbf at
+the end. The public probes take a Dqbf, whose clause or variable they
+check, or the store of a running pass, whose canonical clauses they
+trust.
 
 All passes return the rewritten formula together with a PassReport and
 leave a formula that already contains the empty clause untouched: a
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
 from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, dep,
-                      is_compatible, literal_key, normalize_clause)
-from .propagation import ClauseStore, dqat_check, universal_reduce_clause
+                      literal_key, normalize_clause)
+from .propagation import (ClauseStore, _checked, _reduce, _store_and_clause,
+                          dqat_check)
 from .reports import PassReport
 
 DEFAULT_VIVIFY_BUDGET = 10_000  # propagation steps per clause
@@ -55,6 +56,11 @@ class VivifyResult:
     new_clause: Clause | None = None
 
 
+def _sorted(literals: list[int]) -> Clause:
+    # literals of a canonical clause, back in canonical order
+    return tuple(sorted(literals, key=literal_key))
+
+
 def _literal_order(store: ClauseStore, clause: Clause) -> list[int]:
     # most frequent literal first, ties by variable id
     occurrences = store.occurrences
@@ -73,9 +79,8 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
     fixpoint whose units contain one of the remaining literals pins that
     literal down. The budget caps total propagation steps.
     """
-    store = ClauseStore.of(formula)
-    canon = normalize_clause(clause)
-    cid = None if canon is TAUTOLOGY else store.find(canon)
+    store, canon = _store_and_clause(formula, clause)
+    cid = store.find(canon)
     if cid is None:
         raise ContractViolation("clause to vivify must be in the matrix")
     if len(canon) < 2:
@@ -91,14 +96,11 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
                                           dep(store.prefix, subset))
             steps_used += len(units)
             if conflict:
-                result = normalize_clause(subset)
-                assert result is not TAUTOLOGY
-                return VivifyResult(VivifyKind.REPLACED, result)
+                return VivifyResult(VivifyKind.REPLACED, _sorted(subset))
             for lit in order[size:]:
                 if lit in units:
-                    result = normalize_clause(subset + [lit])
-                    assert result is not TAUTOLOGY
-                    return VivifyResult(VivifyKind.STRENGTHENED, result)
+                    return VivifyResult(VivifyKind.STRENGTHENED,
+                                        _sorted(subset + [lit]))
     return VivifyResult(VivifyKind.UNCHANGED)
 
 
@@ -111,20 +113,14 @@ def vivify_pass(formula: Dqbf,
         return formula, report
     store = ClauseStore(formula)
     for cid, clause in enumerate(store.clauses):
-        result = vivify_clause(store, clause, budget)
-        if result.kind is VivifyKind.UNCHANGED or result.new_clause == clause:
+        new_clause = vivify_clause(store, clause, budget).new_clause
+        if new_clause is None or new_clause == clause:
             continue
-        new_clause = result.new_clause
-        assert new_clause is not None
+        store.shorten(cid, new_clause)
         if new_clause == ():
-            store.replace(cid, new_clause)
             report.conflicts += 1
             break
         report.clauses_shortened += 1
-        if store.find(new_clause) is not None:
-            store.delete(cid)  # shortened into an existing clause
-        else:
-            store.replace(cid, new_clause)
     return store.formula(), report
 
 
@@ -151,9 +147,12 @@ class UplaFindings:
 def upla_probe(formula: Dqbf | ClauseStore, var: int) -> UplaFindings:
     """Propagate the formula under var and under its negation, with the
     universals var may depend on abstracted away, and compare notes."""
-    if var not in formula.prefix:
+    if isinstance(formula, ClauseStore):
+        store = formula
+    elif var in formula.prefix:
+        store = ClauseStore(formula)
+    else:
         raise CompatibilityError(f"variable {var} is not in the prefix")
-    store = ClauseStore.of(formula)
     scope = dep(store.prefix, var)
     positive_conflict, positive_units = store.probe((var,), scope)
     negative_conflict, negative_units = store.probe((-var,), scope)
@@ -177,18 +176,17 @@ def upla_apply(formula: Dqbf, findings: UplaFindings) -> Dqbf:
     clauses."""
     if findings.contradictory:
         return Dqbf(formula.prefix, ((),))
-    return Dqbf(formula.prefix, Canonical(formula.matrix + _additions(findings)))
+    units, pairs = _additions(findings)
+    return Dqbf(formula.prefix, Canonical(formula.matrix + units + sum(pairs, ())))
 
 
-def _additions(findings: UplaFindings) -> tuple[Clause, ...]:
-    # canonical clauses for the findings, in the order they are appended
-    additions: list[Clause] = []
-    for lit in sorted(findings.forced | findings.common_units, key=literal_key):
-        additions.append((lit,))
-    for var, lit in sorted(findings.equivalences):
-        additions.append(normalize_clause((-var, lit)))
-        additions.append(normalize_clause((var, -lit)))
-    return tuple(additions)
+def _additions(findings: UplaFindings) -> tuple[tuple[Clause, ...], tuple]:
+    # canonical clauses for the findings, in the order they are appended:
+    # the unit clauses, then the two binary clauses of each equivalence
+    units = sorted(findings.forced | findings.common_units, key=literal_key)
+    return (tuple((lit,) for lit in units),
+            tuple((_sorted([-var, lit]), _sorted([var, -lit]))
+                  for var, lit in sorted(findings.equivalences)))
 
 
 def upla_pass(formula: Dqbf, existential_only: bool = False) -> tuple[Dqbf, PassReport]:
@@ -207,15 +205,12 @@ def upla_pass(formula: Dqbf, existential_only: bool = False) -> tuple[Dqbf, Pass
         if findings.contradictory:
             report.conflicts += 1
             return Dqbf(formula.prefix, ((),)), report
-        for lit in findings.forced | findings.common_units:
-            if store.find((lit,)) is None:
-                report.units_added += 1
-        for var_, lit in findings.equivalences:
-            pair = (normalize_clause((-var_, lit)), normalize_clause((var_, -lit)))
-            if any(store.find(clause) is None for clause in pair):
-                report.equivalences_added += 1
-        for clause in _additions(findings):
-            store.append(clause)
+        units, pairs = _additions(findings)
+        for unit in units:
+            report.units_added += store.append(unit)
+        for pair in pairs:
+            # a list, so that both clauses are appended
+            report.equivalences_added += any([store.append(c) for c in pair])
     return store.formula(), report
 
 
@@ -262,10 +257,8 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
     stays in the result with its complement removed; a universal pivot
     is removed from the first clause but its complement survives. The
     result may be TAUTOLOGY."""
-    c = normalize_clause(first)
-    d = normalize_clause(second)
-    if c is TAUTOLOGY or d is TAUTOLOGY:
-        raise ContractViolation("cannot resolve a tautological clause")
+    c = _checked(prefix, first)
+    d = _checked(prefix, second)
     if pivot not in c or -pivot not in d:
         raise ContractViolation(
             "pivot must occur in the first clause and negated in the second")
@@ -295,14 +288,9 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     its negation under abstraction must conflict. Raises KernelUndefined
     for a universal pivot no existential depends on.
     """
-    canon = normalize_clause(clause)
-    if canon is TAUTOLOGY:
-        raise ContractViolation("clause under test must not be tautological")
-    if pivot not in canon:
+    if not isinstance(formula, ClauseStore) and pivot not in clause:
         raise ContractViolation("pivot must occur in the clause")
-    if not is_compatible(formula.prefix, canon):
-        raise CompatibilityError("clause uses variables outside the prefix")
-    store = ClauseStore.of(formula)
+    store, canon = _store_and_clause(formula, clause)
     existential = abs(pivot) in store.prefix.existentials
     # computed at the first partner, so a pivot without partners passes
     # even where its outer set is undefined
@@ -334,42 +322,28 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     report = PassReport("dqrat")
     if () in formula.matrix:
         return formula, report
-    prefix = formula.prefix
-    depended = frozenset().union(*prefix.existentials.values()) \
-        if prefix.existentials else frozenset()
+    existentials = formula.prefix.existentials
+    # the universals some existential depends on: the only universal pivots
+    depended = frozenset().union(*existentials.values())
     store = ClauseStore(formula)
     for cid, clause in enumerate(store.clauses):
-        deleted = False
-        dropped: int | None = None
         # each clause is checked against the rest; its literals are
         # already in canonical order, so pivots are tried in that order
         with store.hidden(cid):
-            for lit in clause:
-                if abs(lit) in prefix.existentials and dqrat_plus_check(store, clause, lit):
-                    deleted = True
-                    break
-            if not deleted:
-                for lit in clause:
-                    if abs(lit) in prefix.existentials or abs(lit) not in depended:
-                        continue
-                    if dqrat_plus_check(store, clause, lit):
-                        dropped = lit
-                        break
+            deleted = any(abs(lit) in existentials
+                          and dqrat_plus_check(store, clause, lit) for lit in clause)
+            dropped = None if deleted else next(
+                (lit for lit in clause if abs(lit) in depended
+                 and dqrat_plus_check(store, clause, lit)), None)
         if deleted:
             store.delete(cid)
             report.clauses_removed += 1
-            continue
-        if dropped is None:
-            continue
-        reduced = universal_reduce_clause(
-            prefix, tuple(lit for lit in clause if lit != dropped))
-        report.clauses_shortened += 1
-        if reduced == ():
-            store.replace(cid, reduced)
-            report.conflicts += 1
-            break
-        if store.find(reduced) is not None:
-            store.delete(cid)  # merged into an existing clause
-        else:
-            store.replace(cid, reduced)
+        elif dropped is not None:
+            # a canonical clause minus one literal is canonical
+            reduced = _reduce(tuple(l for l in clause if l != dropped), existentials)
+            report.clauses_shortened += 1
+            store.shorten(cid, reduced)
+            if reduced == ():
+                report.conflicts += 1
+                break
     return store.formula(), report

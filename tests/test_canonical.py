@@ -3,6 +3,7 @@ the package builds itself are marked `Canonical` and only deduplicated
 by `Dqbf`; these tests check every such matrix against a fully
 validated construction, and that a pipeline run normalizes nothing."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given
 
 from conftest import chain, checking_canonical, formulas
 from dqprep import (CompatibilityError, Dqbf, FuzzBounds, PipelineConfig,
-                    Prefix, Verdict, emit_dqdimacs, fuzz, parse_dqdimacs,
-                    run_pipeline, universal_reduce, upla_apply, upla_probe)
+                    Prefix, Verdict, dqrat_eliminate_pass, emit_dqdimacs, fuzz,
+                    parse_dqdimacs, run_pipeline, universal_reduce, upla_apply,
+                    upla_pass, upla_probe, vivify_pass)
 from dqprep import formula as formula_module
 from dqprep.formula import Canonical
 
@@ -82,3 +84,27 @@ def test_pipeline_normalizes_no_clause_of_a_parsed_formula(monkeypatch):
     _, reports, verdict = run_pipeline(PipelineConfig(passes=("ur", "up")), formula)
     assert verdict is Verdict.SAT and [r.name for r in reports] == ["ur", "up"]
     assert calls == []
+
+
+def test_store_probes_check_no_clause_against_the_prefix(monkeypatch):
+    # counted wherever the package binds the name; a pass whose probes
+    # check their store's canonical clauses again calls it per probe
+    calls = []
+    is_compatible = formula_module.is_compatible
+
+    def counting_is_compatible(scope, clause):
+        calls.append(clause)
+        return is_compatible(scope, clause)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "dqprep"
+                and getattr(module, "is_compatible", None) is is_compatible):
+            monkeypatch.setattr(module, "is_compatible", counting_is_compatible)
+            patched.add(name)
+    assert {"dqprep.formula", "dqprep.propagation"} <= patched
+    changed = 0
+    for formula in fuzz(5, 200, FuzzBounds(4, 6, 14, 4)):
+        for run_pass in (vivify_pass, upla_pass, dqrat_eliminate_pass):
+            changed += run_pass(formula)[1].changed
+    assert changed and calls == []

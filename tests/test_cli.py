@@ -179,6 +179,26 @@ def test_stats_json_for_fuzz(tmp_path):
     assert payload["sat"] + payload["unsat"] + payload["unknown"] == 10
 
 
+def test_out_path_that_cannot_be_written(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), write(tmp_path, UNSAT_TEXT)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"dqprep: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fuzz", [[], ["--fuzz", "3"]])
+def test_stats_json_path_that_cannot_be_written(tmp_path, capsys, fuzz):
+    target = tmp_path / "missing" / "x.json"
+    source = [] if fuzz else [write(tmp_path, UNSAT_TEXT)]
+    code = main([*fuzz, "--stats-json", str(target), *source])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"dqprep: cannot write {target}: No such file or directory" in err
+    assert not target.parent.exists()
+
+
 def test_diagnostics_are_forwarded(tmp_path, capsys):
     # variable 2 is used but never quantified
     text = "p cnf 2 1\ne 1 0\n1 2 0\n"

@@ -188,6 +188,38 @@ def test_rewrites_in_place_match_a_rebuilt_store(data):
 
 
 @given(st.data())
+@settings(max_examples=150)
+def test_shorten_and_append_keep_the_matrix_duplicate_free(data):
+    # the commit path of the passes: a shortened clause takes the place of
+    # the original, or the original goes if the shorter one is present;
+    # `append` reports whether it added its clause
+    formula = data.draw(fuzz_formulas())
+    store = ClauseStore(formula)
+    model = list(formula.matrix)
+    for cid, old in enumerate(formula.matrix):
+        if not old or not data.draw(st.booleans()):
+            continue
+        shorter = normalize_clause(data.draw(st.lists(
+            st.sampled_from(old), unique=True, max_size=len(old) - 1)))
+        if data.draw(st.booleans()):
+            assert store.append(shorter) is (shorter not in model)
+            if shorter not in model:
+                model.append(shorter)
+        store.shorten(cid, shorter)
+        if shorter in model:
+            model.remove(old)
+        else:
+            model[model.index(old)] = shorter
+    assert store.formula().matrix == tuple(model)
+    for lit, ids in store.occurrences.items():
+        assert ids == [cid for cid, c in enumerate(store.clauses)
+                       if c is not None and lit in c]
+    rebuilt = ClauseStore(Dqbf(formula.prefix, tuple(model)))
+    assert ({store.clauses[cid] for cid in store.seeds} - {None}
+            == {rebuilt.clauses[cid] for cid in rebuilt.seeds})
+
+
+@given(st.data())
 @settings(max_examples=100)
 def test_hidden_clause_is_left_out(data):
     formula = data.draw(fuzz_formulas())

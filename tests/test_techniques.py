@@ -62,6 +62,12 @@ def test_vivify_rejects_foreign_clause():
         vivify_clause(f, (1, -2))
 
 
+def test_vivify_rejects_clause_over_undeclared_variable():
+    f = Dqbf(flat(2), ((1, 2),))
+    with pytest.raises(CompatibilityError):
+        vivify_clause(f, (1, 7))
+
+
 def test_vivify_pass_merges_into_existing_clause():
     f = Dqbf(flat(3), ((-1, 2), (-1, 2, 3)))
     out, report = vivify_pass(f)
@@ -288,6 +294,13 @@ def test_resolvent_rejects_tautological_input():
         outer_resolvent(flat(2), (1, -1, 2), (-1,), 1)
 
 
+def test_resolvent_rejects_clause_over_undeclared_variable():
+    with pytest.raises(CompatibilityError):
+        outer_resolvent(flat(2), (1, 7), (-1, 2), 1)
+    with pytest.raises(CompatibilityError):
+        outer_resolvent(flat(2), (1, 2), (-1, 7), 1)
+
+
 @given(formulas())
 def test_resolve_matches_outer_resolvent_on_canonical_clauses(formula):
     prefix = formula.prefix
@@ -371,6 +384,39 @@ def test_dqrat_check_matches_reference_on_fuzz_stream():
     for formula in fuzz(17, 400, FuzzBounds(4, 6, 14, 4)):
         seen |= assert_dqrat_checks_match_reference(formula)
     assert seen == {True, False, KernelUndefined}
+
+
+def assert_store_probes_match_dqbf(formula):
+    # each probe on one store of the formula, which takes the clause as
+    # canonical, against the same probe on the formula, which checks it;
+    # returns the dqat verdicts and vivify kinds seen
+    store = ClauseStore(formula)
+    seen = set()
+    for clause in formula.matrix:
+        result = vivify_clause(store, clause)
+        assert result == vivify_clause(formula, clause)
+        seen.add(result.kind)
+        for lit in clause:
+            shorter = tuple(l for l in clause if l != lit)
+            verdict = dqat_check(store, shorter)
+            assert verdict == dqat_check(formula, shorter)
+            seen.add(verdict)
+    for var in sorted(formula.prefix.variables):
+        assert upla_probe(store, var) == upla_probe(formula, var)
+    assert store.formula() == formula and not store.trail
+    return seen
+
+
+@given(formulas())
+def test_store_probes_match_dqbf_probes(formula):
+    assert_store_probes_match_dqbf(formula)
+
+
+def test_store_probes_match_dqbf_probes_on_fuzz_stream():
+    seen = set()
+    for formula in fuzz(23, 200, FuzzBounds(4, 6, 14, 4)):
+        seen |= assert_store_probes_match_dqbf(formula)
+    assert seen == {True, False, *VivifyKind}
 
 
 def test_dqrat_pass_deletes_lone_supported_clause():
