@@ -217,6 +217,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.fuzz is not None and args.input is not None:
             parser.error("--fuzz and an input path are mutually exclusive")
+        if args.fuzz is not None and args.out is not None:
+            parser.error("--fuzz writes no formula, so --out has nothing to write")
         if args.fuzz is not None and args.fuzz < 0:
             parser.error("--fuzz needs a non-negative count")
         config = PipelineConfig(

@@ -13,6 +13,10 @@ Accepted input, line by line:
   - Clause lines are 0-terminated literal lists; a clause may span lines
     and a line may hold several clauses.
 
+Outside comments, a line holds only ASCII characters other than ``_``:
+``int`` would otherwise read ``1_0`` as 10 and other scripts' digits as
+decimal ones. Integers keep ``int``'s optional sign (``+3``, ``-0``).
+
 Variables beyond the header bound are errors. Variables used in clauses
 but never declared become existentials with empty dependency sets and
 produce a warning diagnostic; tautological clauses are dropped with a
@@ -67,6 +71,9 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
         line = raw.strip()
         if not line or line[0] == "c":
             continue
+        if "_" in line or not line.isascii():
+            raise ParseError("'_' and non-ASCII characters are allowed only "
+                             "in comments", lineno)
         head = line.split(None, 1)[0]
         if head == "p":
             if header is not None:

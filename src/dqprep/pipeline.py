@@ -97,6 +97,9 @@ def _run_up(formula: Dqbf) -> tuple[Dqbf, PassReport, PropagationOutcome]:
     assert after is not None
     report.units_added = len(outcome.units)
     report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
+    # a clause lost falsified literals, or universals to reduction alone
+    clauses = set(formula.matrix)
+    report.clauses_shortened = sum(clause not in clauses for clause in after.matrix)
     return after, report, outcome
 
 

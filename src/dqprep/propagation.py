@@ -9,9 +9,10 @@ universal unit clause is a conflict rather than an assignment.
 
 Propagation runs on a ClauseStore: a mutable copy of a matrix with
 occurrence lists and a trail of processed literals. A pass builds one
-store and runs every probe on it (push assumptions, propagate under a
-set of abstracted universals, read the trail, undo it), so a probe costs
-what it propagates, and commits its rewrites to the store in place.
+store and runs every probe on it: `ClauseStore.probe` propagates the
+assumptions with every universal they may depend on abstracted, reads
+the trail and takes it back, so a probe costs what it propagates. The
+pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -144,9 +145,9 @@ class ClauseStore:
     the duration of a block, which leaves it out of propagation and out
     of `find` without touching the occurrence lists.
 
-    Propagation records every processed literal on `trail`; `undo`
-    takes them back. `visits` counts the clauses propagation has
-    examined over the store's lifetime.
+    Propagation records every processed literal on `trail`; `probe`
+    takes them back, `outcome` leaves them in place. `visits` counts the
+    clauses propagation has examined over the store's lifetime.
     """
 
     def __init__(self, formula: Dqbf) -> None:
@@ -204,9 +205,13 @@ class ClauseStore:
         for lit in clause:
             self.occurrences[lit].remove(cid)
 
-    def replace(self, cid: int, clause: Clause) -> None:
-        """Replace a clause by a canonical subset of its literals, which
-        keeps its place in the matrix."""
+    def shorten(self, cid: int, clause: Clause) -> None:
+        """Put a canonical proper subset of a clause in its place, which
+        keeps its place in the matrix, or delete the clause if the subset
+        is already present."""
+        if self.find(clause) is not None:
+            self.delete(cid)
+            return
         old = self.clauses[cid]
         self.clauses[cid] = clause
         for lit in old:
@@ -215,14 +220,6 @@ class ClauseStore:
         at = bisect_left(self.seeds, cid)
         if (at == len(self.seeds) or self.seeds[at] != cid) and self._is_seed(clause):
             self.seeds.insert(at, cid)
-
-    def shorten(self, cid: int, clause: Clause) -> None:
-        """Put a canonical proper subset of a clause in its place, or delete
-        the clause if the subset is already present."""
-        if self.find(clause) is None:
-            self.replace(cid, clause)
-        else:
-            self.delete(cid)
 
     def _is_seed(self, clause: Clause) -> bool:
         # universal reduction leaves at most one literal: `_unit` decides
@@ -296,19 +293,18 @@ class ClauseStore:
                     queue.append(unit)
         return False
 
-    def undo(self) -> None:
-        """Unassign every processed literal, emptying the trail."""
-        self.true.clear()
-        self.trail.clear()
-
-    def probe(self, assumptions: Iterable[int],
-              abstracted: frozenset[int]) -> tuple[bool, list[int]]:
-        """Propagate, then undo: whether the probe conflicted, and the
+    def probe(self, assumptions: Iterable[int]) -> tuple[bool, list[int]]:
+        """Propagate the assumptions with every universal they may depend
+        on abstracted, which is what makes a probe sound, then unassign
+        every processed literal: whether the probe conflicted, and the
         literals it processed in order."""
+        assumptions = tuple(assumptions)
         try:
-            return self.propagate(assumptions, abstracted), self.trail[:]
+            return (self.propagate(assumptions, dep(self.prefix, assumptions)),
+                    self.trail[:])
         finally:
-            self.undo()
+            self.true.clear()
+            self.trail.clear()
 
     def outcome(self, assumptions: Iterable[int] = (),
                 abstracted: frozenset[int] = frozenset()) -> PropagationOutcome:
@@ -384,12 +380,11 @@ def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     conflict once every variable the clause may depend on is abstracted?
 
     The negated clause is injected as unit assumptions, not registered in
-    the matrix proper. A positive answer means the clause can be added to
-    (or a present copy deleted from) the matrix without changing the set
-    of Skolem functions. The abstraction step is what makes the test
-    sound; propagating without it can claim redundancy for clauses that
-    genuinely constrain the formula. A ClauseStore is probed in place.
+    the matrix proper, and `ClauseStore.probe` abstracts what they depend
+    on. A positive answer means the clause can be added to (or a present
+    copy deleted from) the matrix without changing the set of Skolem
+    functions. A ClauseStore is probed in place.
     """
     store, canon = _store_and_clause(formula, clause)
-    conflict, _ = store.probe([-lit for lit in canon], dep(store.prefix, canon))
+    conflict, _ = store.probe([-lit for lit in canon])
     return conflict

@@ -6,9 +6,10 @@ propagates to a conflict. Lookahead probes both polarities of a
 variable and harvests forced literals, shared units, and variable
 equivalences. Redundancy elimination deletes a clause, or drops a
 universal literal from it, when every outer resolvent on a pivot
-propagates to a conflict. Each probe abstracts away the universals the
-tested literals may depend on; that abstraction is what keeps the
-conclusions sound under a dependency prefix.
+propagates to a conflict. Each probe hands `ClauseStore.probe` only the
+literals it assumes; the store abstracts away the universals they may
+depend on, which is what keeps the conclusions sound under a
+dependency prefix.
 
 Each pass builds one ClauseStore from its input Dqbf, runs every probe
 on it with the clause under examination hidden, commits each rewrite in
@@ -28,8 +29,8 @@ import enum
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
-from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, dep,
-                      literal_key, normalize_clause)
+from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key,
+                      normalize_clause)
 from .propagation import (ClauseStore, _checked, _reduce, _store_and_clause,
                           dqat_check)
 from .reports import PassReport
@@ -92,8 +93,7 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
             if steps_used >= budget:
                 return VivifyResult(VivifyKind.UNCHANGED)
             subset = order[:size]
-            conflict, units = store.probe([-lit for lit in subset],
-                                          dep(store.prefix, subset))
+            conflict, units = store.probe([-lit for lit in subset])
             steps_used += len(units)
             if conflict:
                 return VivifyResult(VivifyKind.REPLACED, _sorted(subset))
@@ -153,9 +153,8 @@ def upla_probe(formula: Dqbf | ClauseStore, var: int) -> UplaFindings:
         store = ClauseStore(formula)
     else:
         raise CompatibilityError(f"variable {var} is not in the prefix")
-    scope = dep(store.prefix, var)
-    positive_conflict, positive_units = store.probe((var,), scope)
-    negative_conflict, negative_units = store.probe((-var,), scope)
+    positive_conflict, positive_units = store.probe((var,))
+    negative_conflict, negative_units = store.probe((-var,))
     forced = set()
     if positive_conflict:
         forced.add(-var)

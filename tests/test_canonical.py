@@ -1,7 +1,10 @@
 """Clauses become canonical once, where they enter the program. Matrices
 the package builds itself are marked `Canonical` and only deduplicated
 by `Dqbf`; these tests check every such matrix against a fully
-validated construction, and that a pipeline run normalizes nothing."""
+validated construction, that a pipeline run builds every `Dqbf`
+without normalizing a clause (`ur` still normalizes each clause inside
+`universal_reduce_clause`), and that a store's probes check no clause
+against the prefix."""
 
 import sys
 from collections import Counter

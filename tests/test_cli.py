@@ -100,6 +100,14 @@ def test_fuzz_conflicts_with_input_path(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+def test_fuzz_rejects_out(tmp_path, capsys):
+    out = tmp_path / "out.dqdimacs"
+    code = main(["--fuzz", "3", "--out", str(out)])
+    assert code == 1
+    assert "--out has nothing to write" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuzz_rejects_negative_count(capsys):
     assert main(["--fuzz", "-1"]) == 1
     assert "non-negative" in capsys.readouterr().err
@@ -121,7 +129,7 @@ def test_per_pass_stats_on_stderr(capsys):
     assert lines[:5] == ["formulas=60", "seed=2", "sat=20", "unsat=34", "unknown=6"]
     keys = ("clauses_removed", "clauses_shortened", "units_added",
             "equivalences_added", "conflicts")
-    counters = {"up": (22, 0, 12, 0, 34), "ur": (0, 0, 0, 0, 0),
+    counters = {"up": (22, 3, 12, 0, 34), "ur": (0, 0, 0, 0, 0),
                 "upla": (0, 0, 4, 0, 0)}
     expected = []
     for name, values in counters.items():

@@ -77,6 +77,31 @@ def test_malformed_quantifier_lines(line):
         parse_dqdimacs(f"p cnf 2 1\n{line}\n1 0\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p cnf 1_0 1\n", 1),
+    ("p cnf 10 1\na 1_0 0\n", 2),
+    ("p cnf 10 1\ne 1_0 0\n", 2),
+    ("p cnf 10 1\na 1 0\nd 1_0 1 0\n", 3),
+    ("p cnf 10 1\n1_0 0\n", 2),
+    ("p cnf \u0663 1\n", 1),
+    ("p cnf 3 1\na \u0663 0\n", 2),
+    ("p cnf 3 1\ne \uff13 0\n", 2),
+    ("p cnf 3 1\na 1 0\nd \u0663 1 0\n", 3),
+    ("p cnf 3 1\nc \u0663 1_0\n-\u0663 0\n", 3),
+])
+def test_integers_are_ascii_decimal(text, line):
+    # int() reads 1_0 as 10 and other scripts' digits as decimal ones;
+    # a comment may hold either
+    with pytest.raises(ParseError) as err:
+        parse_dqdimacs(text)
+    assert err.value.line == line
+
+
+def test_integers_keep_their_sign():
+    parsed = parse_dqdimacs("p cnf +2 1\ne +1 2 0\n+1 -2 -0\n")
+    assert parsed.formula.matrix == ((1, -2),)
+
+
 def test_quantifier_variable_above_bound():
     with pytest.raises(ParseError):
         parse_dqdimacs("p cnf 1 1\na 2 0\n1 0\n")

@@ -60,6 +60,14 @@ def test_scheduler_matches_the_plain_loop_on_fuzz_streams(passes, verify):
         assert_same_run(config, formula)
 
 
+def test_scheduler_matches_the_plain_loop_with_existential_only_lookahead():
+    # a case of the verify-mode streams above; a third parameter there
+    # would rename each of their cases
+    config = PipelineConfig(verify=True, upla_existential_only=True)
+    for formula in fuzz(3, 400, LARGER):
+        assert_same_run(config, formula)
+
+
 @pytest.mark.parametrize("max_rounds", [1, 2])
 def test_scheduler_keeps_the_round_cap(max_rounds):
     for formula in fuzz(29, 150, LARGER):
@@ -87,6 +95,15 @@ def test_an_unseeded_chain_takes_two_pass_applications():
     out, reports, verdict = run_pipeline(PipelineConfig(passes=("ur", "up")), formula)
     assert verdict is Verdict.UNKNOWN and len(out.matrix) == 400
     assert [r.name for r in reports] == ["ur", "up"]
+
+
+@pytest.mark.parametrize("name", PASS_NAMES)
+def test_a_report_says_changed_exactly_when_the_formula_changed(name):
+    # `up` also shortens clauses by reduction alone, without a unit
+    config = PipelineConfig()
+    for formula in (*fuzz(0, 1500), *fuzz(5, 1500, LARGER)):
+        after, report, _ = _apply_pass(name, formula, config)
+        assert report.changed == (after != formula)
 
 
 # -- the rules that settle a pass after a change -----------------------------

@@ -44,7 +44,7 @@ def test_pass_stats_table():
     # every column but the seconds, which vary from run to run
     assert [line.rsplit(None, 1)[0] for line in lines[2:]] == [
         "      ur     100      57       37      114       0       0     49",
-        "      up      32      24       25        0      17       0     11",
+        "      up      32      24       25        1      17       0     11",
         "    upla      10       0        0        0       0       0      0",
         "  vivify      10       1        0        1       0       0      0",
         "   dqrat      10      10       13        0       0       0      0",

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqprep import (Dqbf, FuzzBounds, PipelineConfig, Prefix, emit_dqdimacs,
-                    fuzz, normalize_clause, run_pipeline)
+from dqprep import (Dqbf, FuzzBounds, PipelineConfig, Prefix, dep,
+                    emit_dqdimacs, fuzz, normalize_clause, run_pipeline)
 from dqprep.propagation import ClauseStore, abstract
 from conftest import chain
 from reference_propagation import scan_unit_propagate
@@ -130,11 +130,13 @@ def test_unit_decision_examples(matrix, assumptions, abstracted, conflict,
 @settings(max_examples=100)
 def test_probe_undoes_its_trail(data):
     formula = data.draw(fuzz_formulas())
-    first = data.draw(probes(formula))
+    # a probe abstracts what its assumptions depend on; the drawn
+    # abstraction of the first draw goes unused
+    assumptions, _ = data.draw(probes(formula))
     second = data.draw(probes(formula))
     store = ClauseStore(formula)
-    conflict, units = store.probe(*first)
-    expected = reference(formula, *first)
+    conflict, units = store.probe(assumptions)
+    expected = reference(formula, assumptions, dep(formula.prefix, assumptions))
     assert conflict == expected.conflict
     assert len(units) == expected.steps
     if not conflict:
@@ -172,8 +174,8 @@ def test_rewrites_in_place_match_a_rebuilt_store(data):
             if action == "delete" or store.find(shorter) not in (None, cid):
                 store.delete(cid)
                 model.remove(old)
-            else:
-                store.replace(cid, shorter)
+            elif shorter != old:
+                store.shorten(cid, shorter)
                 model[model.index(old)] = shorter
     assert store.formula().matrix == tuple(model)
     for clause in model:
@@ -232,9 +234,11 @@ def test_hidden_clause_is_left_out(data):
     with store.hidden(cid) as clause:
         assert clause == formula.matrix[cid]
         assert store.find(clause) is None
-        conflict, units = store.probe(assumptions, abstracted)
-    expected = reference(rest, assumptions, abstracted)
+        conflict, units = store.probe(assumptions)
+        got = store.outcome(assumptions, abstracted)
+    expected = reference(rest, assumptions, dep(formula.prefix, assumptions))
     assert (conflict, len(units)) == (expected.conflict, expected.steps)
+    assert fields(got) == fields(reference(rest, assumptions, abstracted))
     assert store.formula() == formula
 
 
