@@ -170,7 +170,11 @@ def _run_fuzz(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.input in (None, "-"):
-        text = sys.stdin.read()
+        # decoded as an input file is, whatever the locale; a text
+        # stream standing in for stdin has no byte buffer
+        buffer = getattr(sys.stdin, "buffer", None)
+        text = (sys.stdin.read() if buffer is None
+                else buffer.read().decode("utf-8", errors="surrogateescape"))
         source_name = "<stdin>"
     else:
         try:

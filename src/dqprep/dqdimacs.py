@@ -20,8 +20,10 @@ decimal ones. Integers keep ``int``'s optional sign (``+3``, ``-0``).
 Variables beyond the header bound are errors. Variables used in clauses
 but never declared become existentials with empty dependency sets and
 produce a warning diagnostic; tautological clauses are dropped with a
-warning; duplicate literals and clauses are merged silently. LF and CRLF
-input are both accepted, output always uses LF.
+warning; duplicate literals and clauses are merged silently. A line
+ends at LF, CRLF or CR, the newlines ``open()`` translates; other line
+breaks such as form feed or U+2028 are ordinary characters. Output
+always uses LF.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     saw_clause_token = False
     first_use: dict[int, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at LF, CRLF and CR only; the list of them is not bound to
+    # a name, so it is freed when the loop ends
+    for lineno, raw in enumerate(
+            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue

@@ -129,6 +129,7 @@ def is_skolem(formula: Dqbf, candidate: SkolemTuple) -> bool:
 # of table bits (ascending variables, lower variables in lower-order bits).
 # The set of satisfying tuples is then a single big integer whose bit T is
 # set iff candidate T works, which makes set comparisons exact and cheap.
+# It is built from one mask per table bit, kept in one bounded LRU.
 
 
 @dataclass(frozen=True)
@@ -163,21 +164,25 @@ def _layout(universals: Iterable[int],
     return _Layout(universals, uindex, tuple(entries), offset)
 
 
+# A verified pass asks for the masks of its input and its output (`up`
+# also for its input plus the derived units), and the next pass's input
+# is this pass's output, so two recent formulas cover every repeat.
+_MASK_MEMO_SIZE = 2
+
+
+# The table-bit masks built last, as many as the two formulas seen last
+# ask for at the default budget: at most 40 masks of 2**budget bits each
+# (5 MiB at the default budget).
+@lru_cache(maxsize=_MASK_MEMO_SIZE * DEFAULT_BUDGET)
 def _bit_mask(total_bits: int, position: int) -> int:
-    # mask over 2**total_bits candidate indices T selecting (T >> position) & 1;
-    # threads that miss on the same position store equal masks, so the
-    # table needs no lock
-    table = _mask_table(total_bits)
-    mask = table.get(position)
-    if mask is None:
-        nbits = 1 << total_bits
-        block = 1 << position
-        mask = ((1 << block) - 1) << block
-        span = block * 2
-        while span < nbits:
-            mask |= mask << span
-            span *= 2
-        table[position] = mask
+    # mask over 2**total_bits candidate indices T selecting (T >> position) & 1
+    nbits = 1 << total_bits
+    block = 1 << position
+    mask = ((1 << block) - 1) << block
+    span = block * 2
+    while span < nbits:
+        mask |= mask << span
+        span *= 2
     return mask
 
 
@@ -188,49 +193,6 @@ def _check_budget(total_bits: int, universals: int, limit: int) -> None:
     if universals > limit:
         raise BudgetError(
             f"{universals} universals exceed the 2**{limit} budget")
-
-
-# A verified pass asks for the masks of its input and its output (`up`
-# also for its input plus the derived units), and the next pass's input
-# is this pass's output, so two recent formulas cover every repeat.
-_MASK_MEMO_SIZE = 2
-
-
-# Table-bit masks of at most 2**_NARROW_WIDTH bits are cheap to keep:
-# the tables of all widths up to it hold under
-# 2 * _NARROW_WIDTH * 2**_NARROW_WIDTH bits (256 KiB; Python keeps 30
-# bits in 4 bytes, so they take about 273 KiB).
-_NARROW_WIDTH = 16
-
-
-def _mask_table(total_bits: int) -> dict[int, int]:
-    """The table-bit masks of one candidate-space width, by position,
-    filled by `_bit_mask` as the kernel asks for them. A table holds at
-    most `total_bits` masks of 2**total_bits bits. Narrow tables are
-    kept for good; of the wider ones, the tables of the _MASK_MEMO_SIZE
-    widths used last are kept, as the whole masks of the formulas seen
-    last are. So the tables hold at most
-    _MASK_MEMO_SIZE * budget * 2**budget bits (5 MiB at the default
-    budget) besides the narrow ones.
-
-    Narrow tables are kept for good because a stream of small formulas
-    keeps coming back to them: a formula whose verified run goes
-    through a third width (a second `up` that assigns more variables)
-    would otherwise push out the table of the widest, which the next
-    formula builds again."""
-    if total_bits <= _NARROW_WIDTH:
-        return _narrow_table(total_bits)
-    return _wide_table(total_bits)
-
-
-@lru_cache(maxsize=None)
-def _narrow_table(total_bits: int) -> dict[int, int]:
-    return {}
-
-
-@lru_cache(maxsize=_MASK_MEMO_SIZE)
-def _wide_table(total_bits: int) -> dict[int, int]:
-    return {}
 
 
 def _satisfying_mask(formula: Dqbf, limit: int) -> tuple[int, _Layout]:
@@ -261,9 +223,8 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
     # tuples whose table bit at the current row of some positive entry
     # is set, or at the current row of some negative entry is clear.
     # Only entries the matrix mentions get a table-bit mask, so no mask
-    # is built (and kept by _mask_table) for a table nothing reads.
+    # is built (and kept by _bit_mask) for a table nothing reads.
     total_bits = layout.total_bits
-    masks = _mask_table(total_bits)
     full = (1 << (1 << total_bits)) - 1
     entry_for = {e.variable: e for e in layout.entries}
     entry_index: dict[int, int] = {}  # variable -> position in `rows`
@@ -299,8 +260,7 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
                     for j, bit in enumerate(domain_bits):
                         row |= ((urank >> bit) & 1) << j
                     position = offset + row
-                    current.append(masks.get(position)
-                                   or _bit_mask(total_bits, position))
+                    current.append(_bit_mask(total_bits, position))
             acc = 0
             for k in positive:
                 acc |= current[k]

@@ -68,12 +68,18 @@ def test_parse_error(tmp_path, capsys):
     assert "dqprep:" in capsys.readouterr().err
 
 
-def test_undecodable_bytes_are_a_parse_error_from_file_and_stdin(tmp_path):
+@pytest.mark.parametrize("io_encoding", [
+    pytest.param({}, id="inherited"),
+    pytest.param({"PYTHONIOENCODING": "utf-8:strict"}, id="strict"),
+])
+def test_undecodable_bytes_are_a_parse_error_from_file_and_stdin(tmp_path,
+                                                                  io_encoding):
     # byte 0xff on line 2 is not UTF-8; a file and stdin must both give
-    # the line-numbered parse error, never a traceback
+    # the line-numbered parse error, never a traceback, also where the
+    # locale would decode stdin strictly
     path = tmp_path / "bad.dqdimacs"
     path.write_bytes(b"p cnf 1 1\ne 1 \xff 0\n1 0\n")
-    env = dict(os.environ,
+    env = dict(os.environ, **io_encoding,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     command = [sys.executable, "-c",
                "from dqprep.cli import console_main; console_main()"]

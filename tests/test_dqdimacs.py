@@ -97,6 +97,34 @@ def test_integers_are_ascii_decimal(text, line):
     assert err.value.line == line
 
 
+# lines end only at LF, CRLF and CR; the other breaks str.splitlines
+# knows are ordinary characters
+
+
+def test_nel_in_a_comment_is_not_a_line_break():
+    parsed = parse_dqdimacs("c x\x85y\np cnf 1 1\n1 0\n")
+    assert parsed.formula.matrix == ((1,),)
+
+
+def test_form_feed_does_not_shift_line_numbers():
+    parsed = parse_dqdimacs("p cnf 1 1\nc note\x0c\n1 0\n")
+    assert [d.line for d in parsed.diagnostics] == [3]
+
+
+def test_vertical_tab_does_not_end_the_header_line():
+    with pytest.raises(ParseError) as err:
+        parse_dqdimacs("p cnf 2 1\x0b1\n1 2 0\n")
+    assert err.value.line == 1
+    assert "malformed header" in str(err.value)
+
+
+def test_cr_lf_and_crlf_end_lines_alike():
+    lines = ["p cnf 2 1", "a 1 0", "c", "1 2 0", ""]
+    parsed = [parse_dqdimacs(nl.join(lines)) for nl in ("\n", "\r\n", "\r")]
+    assert parsed[0] == parsed[1] == parsed[2]
+    assert [d.line for d in parsed[0].diagnostics] == [4]
+
+
 def test_integers_keep_their_sign():
     parsed = parse_dqdimacs("p cnf +2 1\ne +1 2 0\n+1 -2 -0\n")
     assert parsed.formula.matrix == ((1, -2),)
@@ -202,7 +230,7 @@ def dqdimacs_like(draw) -> str:
     if draw(st.integers(0, 3)) == 0:
         junk = " ".join(draw(st.lists(st.sampled_from(JUNK), max_size=5)))
         lines.insert(draw(st.integers(0, len(lines))), junk)
-    newline = draw(st.sampled_from(("\n", "\r\n")))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
     return newline.join(lines)
 
 

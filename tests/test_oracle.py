@@ -271,31 +271,24 @@ def test_equal_formulas_share_one_mask(kernel_calls):
     assert len(kernel_calls) == 1
 
 
-def test_wide_table_bit_masks_are_kept_for_the_last_widths_only():
+def test_table_bit_masks_are_kept_for_the_last_formulas_only():
     # n = 10 ... 20 independent existentials and one clause over all of
     # them: candidate spaces of 2**10 ... 2**20 tuples, each kernel call
     # asking for every table bit of its width
-    oracle._narrow_table.cache_clear()
-    oracle._wide_table.cache_clear()
+    oracle._remembered_mask.cache_clear()
+    oracle._bit_mask.cache_clear()
     for n in range(10, 21):
         psi = Dqbf(u_e(set(), {v: frozenset() for v in range(1, n + 1)}),
                    (tuple(range(1, n + 1)),))
         assert solve_brute(psi).satisfiable
-    narrow = oracle._narrow_table.cache_info()
-    wide = oracle._wide_table.cache_info()
-    assert narrow.currsize == oracle._NARROW_WIDTH - 9
-    assert wide.misses == 20 - oracle._NARROW_WIDTH
-    assert wide.currsize == oracle._MASK_MEMO_SIZE
-    kept = [oracle._mask_table(width) for width in (19, 20)]
-    assert oracle._wide_table.cache_info().misses == wide.misses
-    assert [sorted(table) for table in kept] == [list(range(19)), list(range(20))]
+    info = oracle._bit_mask.cache_info()
+    assert info.maxsize == oracle._MASK_MEMO_SIZE * DEFAULT_BUDGET
+    assert info.currsize <= info.maxsize
+    assert info.misses == sum(range(10, 21))
+    # the masks of the widest formula, built last, are still kept;
     # bit T of the mask at position 3 is bit 3 of T, written high bit first
-    assert kept[1][3] == int(("1" * 8 + "0" * 8) * (1 << 16), 2)
-    narrow_bytes = sum(sys.getsizeof(mask)
-                       for width in range(10, oracle._NARROW_WIDTH + 1)
-                       for mask in oracle._mask_table(width).values())
-    # under 2 * 16 * 2**16 bits, 30 of them in every 4 bytes
-    assert narrow_bytes < 2 * 16 * 2 ** 16 // 30 * 4 + 1024
+    assert oracle._bit_mask(20, 3) == int(("1" * 8 + "0" * 8) * (1 << 16), 2)
+    assert oracle._bit_mask.cache_info().misses == info.misses
 
 
 def test_memo_hands_each_thread_its_own_masks():
