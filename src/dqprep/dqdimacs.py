@@ -19,8 +19,9 @@ decimal ones. Integers keep ``int``'s optional sign (``+3``, ``-0``).
 
 Variables beyond the header bound are errors. Variables used in clauses
 but never declared become existentials with empty dependency sets and
-produce a warning diagnostic; tautological clauses are dropped with a
-warning; duplicate literals and clauses are merged silently. A line
+produce a warning diagnostic. Each clause is normalized as soon as its
+``0`` is read: tautological clauses are dropped with a warning, and
+duplicate literals and clauses are merged silently. A line
 ends at LF, CRLF or CR, the newlines ``open()`` translates; other line
 breaks such as form feed or U+2028 are ordinary characters. Output
 always uses LF.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .errors import ParseError
-from .formula import Canonical, Dqbf, Prefix, TAUTOLOGY, normalize_clause
+from .formula import Canonical, Clause, Dqbf, Prefix, TAUTOLOGY, normalize_clause
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,15 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     """
     text = source if isinstance(source, str) else source.read()
     diagnostics: list[ParseDiagnostic] = []
+    tautologies: list[ParseDiagnostic] = []
     header: tuple[int, int] | None = None
     header_line = 0
-    universal_order: list[int] = []
-    universals: set[int] = set()
+    universals: dict[int, None] = {}
     existentials: dict[int, frozenset[int]] = {}
-    declared: set[int] = set()
-    clauses: list[tuple[int, list[int]]] = []
+    kept: list[Clause] = []
+    found = 0
     pending: list[int] = []
-    pending_line: int | None = None
-    saw_clause_token = False
+    pending_line = 0
     first_use: dict[int, int] = {}
 
     # lines end at LF, CRLF and CR only; the list of them is not bound to
@@ -83,7 +83,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
         if head == "p":
             if header is not None:
                 raise ParseError("duplicate 'p cnf' header", lineno)
-            if declared or saw_clause_token:
+            if universals or existentials or found or pending:
                 raise ParseError("'p cnf' header must come first", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
@@ -102,7 +102,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
             raise ParseError("missing 'p cnf' header", lineno)
         max_var = header[0]
         if head in ("a", "e", "d"):
-            if saw_clause_token:
+            if found or pending:
                 raise ParseError("quantifier line after the first clause", lineno)
             tokens = line.split()[1:]
             if not tokens or tokens[-1] != "0":
@@ -119,43 +119,44 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
             if head == "d":
                 if not values:
                     raise ParseError("'d' line expects a variable", lineno)
-                var, deps = values[0], values[1:]
-                if var in declared:
+                values, deps = values[:1], values[1:]
+            # a redeclared variable is reported before a bad dependency
+            for var in values:
+                if var in universals or var in existentials:
                     raise ParseError(f"variable {var} redeclared", lineno)
+                if head == "a":
+                    universals[var] = None
+                elif head == "e":
+                    existentials[var] = frozenset(universals)
+            if head == "d":
                 for v in deps:
                     if v not in universals:
                         raise ParseError(
                             f"dependency on non-universal variable {v}", lineno)
-                declared.add(var)
-                existentials[var] = frozenset(deps)
-            else:
-                for var in values:
-                    if var in declared:
-                        raise ParseError(f"variable {var} redeclared", lineno)
-                    declared.add(var)
-                    if head == "a":
-                        universals.add(var)
-                        universal_order.append(var)
-                    else:
-                        existentials[var] = frozenset(universal_order)
+                existentials[values[0]] = frozenset(deps)
             continue
         for token in line.split():
             try:
                 value = int(token)
             except ValueError:
                 raise ParseError(f"bad token {token!r}", lineno)
-            saw_clause_token = True
             if value == 0:
-                clauses.append(
-                    (pending_line if pending_line is not None else lineno, pending))
+                clause = normalize_clause(pending)
+                if clause is TAUTOLOGY:
+                    tautologies.append(ParseDiagnostic(
+                        pending_line, "tautological clause dropped"))
+                else:
+                    kept.append(clause)
+                found += 1
                 pending = []
-                pending_line = None
             else:
-                if abs(value) > max_var:
-                    raise ParseError(
-                        f"variable {abs(value)} exceeds header bound", lineno)
-                first_use.setdefault(abs(value), lineno)
-                if pending_line is None:
+                var = abs(value)
+                if var > max_var:
+                    raise ParseError(f"variable {var} exceeds header bound", lineno)
+                # declarations precede clauses, so an undeclared variable is free
+                if var not in existentials and var not in universals:
+                    first_use.setdefault(var, lineno)
+                if not pending:
                     pending_line = lineno
                 pending.append(value)
     if header is None:
@@ -164,25 +165,14 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
         raise ParseError("unterminated clause at end of input", pending_line)
 
     for var in sorted(first_use):
-        if var not in declared:
-            declared.add(var)
-            existentials[var] = frozenset()
-            diagnostics.append(ParseDiagnostic(
-                first_use[var],
-                f"free variable {var} treated as existential with no dependencies"))
-
-    if len(clauses) != header[1]:
+        existentials[var] = frozenset()
         diagnostics.append(ParseDiagnostic(
-            header_line,
-            f"header declares {header[1]} clauses, found {len(clauses)}"))
-
-    kept = []
-    for line, lits in clauses:
-        clause = normalize_clause(lits)
-        if clause is TAUTOLOGY:
-            diagnostics.append(ParseDiagnostic(line, "tautological clause dropped"))
-            continue
-        kept.append(clause)
+            first_use[var],
+            f"free variable {var} treated as existential with no dependencies"))
+    if found != header[1]:
+        diagnostics.append(ParseDiagnostic(
+            header_line, f"header declares {header[1]} clauses, found {found}"))
+    diagnostics += tautologies
     # every clause is normalized and every variable declared by now
     formula = Dqbf(Prefix(frozenset(universals), existentials), Canonical(kept))
     return ParseResult(formula, tuple(diagnostics))

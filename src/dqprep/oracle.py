@@ -102,7 +102,8 @@ def evaluate(matrix: Iterable[Clause], assignment: Assignment) -> bool:
 
 def is_skolem(formula: Dqbf, candidate: SkolemTuple) -> bool:
     """Does the tuple make the matrix true under every universal
-    assignment? Domains must match the declared dependency sets."""
+    assignment? Domains must match the declared dependency sets, and
+    there are at most DEFAULT_BUDGET universals to enumerate."""
     existentials = formula.prefix.existentials
     functions = {f.variable: f for f in candidate.functions}
     if set(functions) != set(existentials):
@@ -112,6 +113,9 @@ def is_skolem(formula: Dqbf, candidate: SkolemTuple) -> bool:
             raise ContractViolation(
                 f"function domain for {var} differs from its dependency set")
     universals = sorted(formula.prefix.universals)
+    if len(universals) > DEFAULT_BUDGET:
+        raise BudgetError(f"{len(universals)} universals exceed the "
+                          f"2**{DEFAULT_BUDGET} budget")
     for rank in range(1 << len(universals)):
         assignment: dict[int, bool] = {
             v: bool((rank >> i) & 1) for i, v in enumerate(universals)

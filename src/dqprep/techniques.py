@@ -48,9 +48,10 @@ class VivifyKind(enum.Enum):
 class VivifyResult:
     """Outcome of vivifying one clause.
 
-    REPLACED: new_clause is a proper subset of the original.
+    REPLACED: new_clause is a tested subset of the original.
     STRENGTHENED: new_clause is a tested subset plus one literal the
-    probe propagated.  UNCHANGED: new_clause is None.
+    probe propagated.  UNCHANGED: new_clause is None. Every new_clause
+    is a proper subset of the original clause.
     """
 
     kind: VivifyKind
@@ -97,6 +98,9 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
             steps_used += len(units)
             if conflict:
                 return VivifyResult(VivifyKind.REPLACED, _sorted(subset))
+            if size + 1 == len(canon):
+                # the subset plus one literal would be the whole clause
+                break
             for lit in order[size:]:
                 if lit in units:
                     return VivifyResult(VivifyKind.STRENGTHENED,
@@ -114,7 +118,7 @@ def vivify_pass(formula: Dqbf,
     store = ClauseStore(formula)
     for cid, clause in enumerate(store.clauses):
         new_clause = vivify_clause(store, clause, budget).new_clause
-        if new_clause is None or new_clause == clause:
+        if new_clause is None:
             continue
         store.shorten(cid, new_clause)
         if new_clause == ():

@@ -98,6 +98,11 @@ def chain(links: int) -> Dqbf:
     return Dqbf(prefix, tuple(matrix) + ((first,),))
 
 
+def u_e(universals, existentials) -> Prefix:
+    """The prefix with these universals and existential dependency sets."""
+    return Prefix(frozenset(universals), existentials)
+
+
 def oracle_bits(formula: Dqbf) -> int:
     return sum(2 ** len(d) for d in formula.prefix.existentials.values())
 

@@ -137,10 +137,12 @@ def test_06_vivification_equivalence():
         checked += 1
         for clause in formula.matrix:
             result = vivify_clause(formula, clause)
-            if (result.kind is VivifyKind.UNCHANGED
-                    or result.new_clause == clause):
+            if result.kind is VivifyKind.UNCHANGED:
                 continue
             rewritten_count += 1
+            if not set(result.new_clause) < set(clause):
+                violations += 1
+                continue
             rewritten = Dqbf(formula.prefix,
                              tuple(result.new_clause if c == clause else c
                                    for c in formula.matrix))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import checking_canonical, formulas
 from dqprep import Dqbf, ParseError, Prefix, emit_dqdimacs, parse_dqdimacs
+from reference_dqdimacs import reference_parse_dqdimacs
 
 EXAMPLE = """\
 c a dependency-quantified formula
@@ -241,10 +242,13 @@ def parse_or_none(text):
         return None
 
 
-@given(st.one_of(
+ANY_TEXT = st.one_of(
     st.text(),
     st.binary().map(lambda b: b.decode("utf-8", errors="surrogateescape")),
-    dqdimacs_like()))
+    dqdimacs_like())
+
+
+@given(ANY_TEXT)
 def test_parser_returns_a_formula_or_raises_parse_error(text):
     # any other exception escapes and fails the test
     parse_or_none(text)
@@ -266,3 +270,27 @@ def test_parsed_formula_equals_its_validated_reconstruction(text):
                  .map(lambda parsed: emit_dqdimacs(parsed.formula))))
 def test_emit_after_parse_is_the_identity_on_emitted_text(text):
     assert emit_dqdimacs(parse_dqdimacs(text).formula) == text
+
+
+def parse_or_error(parse, text):
+    """The parse result, or the line and reason of the ParseError."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.line, err.reason
+
+
+@given(ANY_TEXT)
+def test_parser_agrees_with_the_two_loop_reference(text):
+    # equal formulas and diagnostics (line, message, severity, in order),
+    # or a ParseError with equal line and reason
+    assert (parse_or_error(parse_dqdimacs, text)
+            == parse_or_error(reference_parse_dqdimacs, text))
+
+
+def test_d_line_reports_redeclaration_before_a_non_universal_dependency():
+    text = "p cnf 5 1\nd 5 0\nd 5 4 0\n"
+    expected = (3, "variable 5 redeclared")
+    assert parse_or_error(reference_parse_dqdimacs, text) == expected
+    with pytest.raises(ParseError, match="^line 3: variable 5 redeclared$"):
+        parse_dqdimacs(text)

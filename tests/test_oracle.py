@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas, in_oracle_budget, oracle_bits
+from conftest import formulas, in_oracle_budget, oracle_bits, u_e
 from dqprep import (BudgetError, ContractViolation, Dqbf, FuzzBounds, Prefix,
                     SkolemFunction, SkolemTuple, equisatisfiable, equivalent,
                     evaluate, fuzz, implies, is_skolem, solve_brute,
@@ -16,10 +16,6 @@ from dqprep import (BudgetError, ContractViolation, Dqbf, FuzzBounds, Prefix,
 from dqprep import oracle
 from dqprep.oracle import DEFAULT_BUDGET, assignment_rank
 from reference_oracle import reference_satisfying_mask
-
-
-def u_e(universals, existentials):
-    return Prefix(frozenset(universals), existentials)
 
 
 # -- ranks, functions, tuples -----------------------------------------------
@@ -105,6 +101,18 @@ def test_is_skolem_rejects_wrong_domain():
     psi = Dqbf(u_e({1}, {2: frozenset({1})}), ())
     with pytest.raises(ContractViolation):
         is_skolem(psi, SkolemTuple((SkolemFunction(2, (), (True,)),)))
+
+
+def test_is_skolem_keeps_to_the_universal_budget():
+    def false_y(n):
+        # y = False falsifies the first of the 2**n universal assignments
+        y = n + 1
+        return (Dqbf(u_e(range(1, y), {y: frozenset()}), ((y,),)),
+                SkolemTuple((SkolemFunction(y, (), (False,)),)))
+
+    assert not is_skolem(*false_y(DEFAULT_BUDGET))
+    with pytest.raises(BudgetError):
+        is_skolem(*false_y(DEFAULT_BUDGET + 1))
 
 
 # -- brute-force solver -----------------------------------------------------

@@ -5,16 +5,12 @@ import logging
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas, in_oracle_budget
+from conftest import formulas, in_oracle_budget, u_e
 from dqprep import (ContractViolation, Dqbf, FuzzBounds, PASS_NAMES,
-                    PipelineConfig, Prefix, Verdict, VerificationError,
+                    PipelineConfig, Verdict, VerificationError,
                     equisatisfiable, equivalent, fuzz, run_pipeline,
                     solve_brute)
 from dqprep.reports import PassReport, merge_reports
-
-
-def u_e(universals, existentials):
-    return Prefix(frozenset(universals), existentials)
 
 
 # -- configuration ----------------------------------------------------------

@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas
+from conftest import formulas, u_e
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, Prefix,
                     dqat_check, equivalent, literal_key, solve_brute,
                     unit_propagate, universal_reduce, universal_reduce_clause)
 from dqprep.propagation import abstract
-
-
-def u_e(universals, existentials):
-    return Prefix(frozenset(universals), existentials)
 
 
 # -- universal reduction ----------------------------------------------------

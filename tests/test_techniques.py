@@ -3,19 +3,15 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas
+from conftest import formulas, u_e
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
-                    KernelUndefined, Prefix, TAUTOLOGY, VivifyKind,
+                    KernelUndefined, TAUTOLOGY, VivifyKind,
                     dqat_check, dqrat_eliminate_pass, dqrat_plus_check,
                     equisatisfiable, equivalent, fuzz, outer_resolvent,
                     outer_variables, solve_brute, upla_apply, upla_pass,
                     upla_probe, vivify_clause, vivify_pass)
 from dqprep.propagation import ClauseStore
 from dqprep.techniques import _resolve
-
-
-def u_e(universals, existentials):
-    return Prefix(frozenset(universals), existentials)
 
 
 def flat(n):
@@ -43,6 +39,12 @@ def test_vivify_probes_without_the_clause_itself():
     # with the clause left in, assuming not-1 would propagate 2 and
     # self-subsume; the probe must not use the clause under test
     f = Dqbf(flat(2), ((1, 2),))
+    assert vivify_clause(f, (1, 2)).kind is VivifyKind.UNCHANGED
+
+
+def test_vivify_does_not_strengthen_to_the_whole_clause():
+    # assuming not-1 propagates 3 and then 2, the clause's last literal
+    f = Dqbf(flat(3), ((1, 2), (1, 3), (-3, 2)))
     assert vivify_clause(f, (1, 2)).kind is VivifyKind.UNCHANGED
 
 
@@ -94,8 +96,9 @@ def test_vivify_pass_records_derived_conflict():
 def test_vivify_clause_preserves_equivalence(formula):
     for clause in formula.matrix:
         result = vivify_clause(formula, clause)
-        if result.kind is VivifyKind.UNCHANGED or result.new_clause == clause:
+        if result.kind is VivifyKind.UNCHANGED:
             continue
+        assert set(result.new_clause) < set(clause)
         rewritten = Dqbf(formula.prefix,
                          tuple(result.new_clause if c == clause else c
                                for c in formula.matrix))

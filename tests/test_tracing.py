@@ -1,27 +1,33 @@
-"""The names the benchmark's tracer wraps still exist in dqprep.
+"""The names the benchmark takes from dqprep still exist there.
 
 `perfbench/tracing.py` rebinds functions by module and attribute name,
-so renaming or deleting one breaks only traced benchmark runs. This
-imports the tracer as it is, without changing it, and checks that every
-target resolves and that installing the tracer leaves every binding
-restored.
+and `perfbench/run.py` keeps its own copies of the pass names and the
+PassReport counters, so renaming or deleting one breaks only traced
+benchmark runs. This imports both modules as they are, without changing
+them, and checks that every traced target resolves, that installing the
+tracer leaves every binding restored, and that the runner's pass names
+and counters match dqprep and the per-layer metrics of BENCHMARK.json.
 """
 
 import importlib
+import json
+from dataclasses import fields
 from pathlib import Path
 
 import dqprep
+from dqprep.reports import PassReport
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _tracing(monkeypatch):
+def _perfbench(monkeypatch, module):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    return importlib.import_module("tracing")
+    return importlib.import_module(module)
 
 
 def test_every_traced_name_resolves(monkeypatch):
-    tracing = _tracing(monkeypatch)
+    tracing = _perfbench(monkeypatch, "tracing")
     for name, module, attribute, _, _ in tracing.TARGETS:
         owner = importlib.import_module(f"dqprep.{module}")
         for part in attribute.split("."):
@@ -31,7 +37,7 @@ def test_every_traced_name_resolves(monkeypatch):
 
 
 def test_installed_tracer_rebinds_and_restores_every_target(monkeypatch):
-    tracing = _tracing(monkeypatch)
+    tracing = _perfbench(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     with tracer.installed():
         rebound = {original for _, _, original in tracer.bindings}
@@ -41,3 +47,15 @@ def test_installed_tracer_rebinds_and_restores_every_target(monkeypatch):
     calls, _, counts = tracer.summary()
     assert calls["dqdimacs.parse"] == 1
     assert counts["dqdimacs.parse.bytes"] == len("p cnf 1 1\n1 0\n")
+
+
+def test_runner_pass_names_and_counters_match_dqprep(monkeypatch):
+    run = _perfbench(monkeypatch, "run")
+    assert run.PASS_NAMES == dqprep.PASS_NAMES
+    assert run.PASS_COUNTERS == tuple(
+        f.name for f in fields(PassReport) if f.name not in ("name", "wall_time"))
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    declared = {m["name"] for m in per_layer if m["name"].startswith("pass.")}
+    assert declared == {f"pass.{name}.{figure}"
+                        for name in dqprep.PASS_NAMES
+                        for figure in ("runs", "s", *run.PASS_COUNTERS)}
