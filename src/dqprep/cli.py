@@ -33,6 +33,10 @@ EXIT_UNSAT = 20
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
+# version of the --stats-json payload's keys, documented in the README;
+# raised when a key is renamed, removed or changes meaning
+STATS_SCHEMA = 1
+
 _VERDICT_CODES = {
     Verdict.UNKNOWN: EXIT_UNKNOWN,
     Verdict.SAT: EXIT_SAT,
@@ -132,8 +136,8 @@ def _write(path: str, text: str) -> bool:
 def _emit_stats(stats: dict[str, object], reports: list[PassReport],
                 path: str | None) -> bool:
     if path is not None:
-        payload = dict(stats)
-        payload["passes"] = [r.as_dict() for r in reports]
+        payload = {"schema": STATS_SCHEMA, **stats,
+                   "passes": [r.as_dict() for r in reports]}
         return _write(path, json.dumps(payload, indent=2) + "\n")
     for key, value in stats.items():
         print(f"{key}={value}", file=sys.stderr)

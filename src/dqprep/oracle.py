@@ -168,6 +168,11 @@ def _layout(universals: Iterable[int],
     return _Layout(universals, uindex, tuple(entries), offset)
 
 
+# Consecutive formulas of a verified run mostly share their prefix, so
+# the layout of the last one is kept.
+_prefix_layout = lru_cache(maxsize=1)(_layout)
+
+
 # A verified pass asks for the masks of its input and its output (`up`
 # also for its input plus the derived units), and the next pass's input
 # is this pass's output, so two recent formulas cover every repeat.
@@ -214,7 +219,7 @@ def _satisfying_mask(formula: Dqbf, limit: int) -> tuple[int, _Layout]:
 def _remembered_mask(universals: frozenset[int],
                      dependencies: tuple[tuple[int, frozenset[int]], ...],
                      matrix: tuple[Clause, ...]) -> tuple[int, _Layout]:
-    layout = _layout(universals, dependencies)
+    layout = _prefix_layout(universals, dependencies)
     return _mask_kernel(layout, matrix), layout
 
 
@@ -222,23 +227,34 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
     # Each clause is split into its universal part, as two bit sets over
     # universal indices (`care`: the universals it mentions, `neg`: those
     # that occur negated), and the entries of its positive and negative
-    # existential literals. A universal assignment `urank` satisfies the
-    # clause iff (urank ^ neg) & care. Otherwise the clause keeps the
+    # existential literals. A universal assignment `urank` falsifies the
+    # universal part iff urank & care == neg. The clause then keeps the
     # tuples whose table bit at the current row of some positive entry
     # is set, or at the current row of some negative entry is clear.
-    # Only entries the matrix mentions get a table-bit mask, so no mask
-    # is built (and kept by _bit_mask) for a table nothing reads.
+    #
+    # That restricted clause depends on urank only through the bits in
+    # `relevant`: `care` plus the domain bits of the clause's entries.
+    # So a clause is applied only at the representative of its class,
+    # the urank with urank & care == neg that is 0 outside `relevant`
+    # (urank & fixed == neg, `fixed` being every bit but those of
+    # `relevant` outside `care`). Any other urank u that falsifies the
+    # universal part has the representative u & relevant, which is at
+    # most u, so it was visited first and ANDed the same restricted
+    # clause; ANDing it again changes nothing. After each urank the mask
+    # is thus the AND of the restricted clauses of every assignment up
+    # to it, as if each clause were applied at every assignment, and it
+    # reaches 0 no later. Rows are computed only for the entries of the
+    # clause being applied, so no table-bit mask is built (and kept by
+    # _bit_mask) for a row nothing reads.
     total_bits = layout.total_bits
     full = (1 << (1 << total_bits)) - 1
     entry_for = {e.variable: e for e in layout.entries}
-    entry_index: dict[int, int] = {}  # variable -> position in `rows`
-    rows = []
     uindex = layout.uindex
     split = []
     for clause in matrix:
-        care = neg = 0
-        positive: list[int] = []
-        negative: list[int] = []
+        care = neg = relevant = 0
+        positive: list[tuple[int, tuple[int, ...]]] = []
+        negative: list[tuple[int, tuple[int, ...]]] = []
         for lit in clause:
             var = abs(lit)
             if var in uindex:
@@ -246,32 +262,30 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
                 if lit < 0:
                     neg |= 1 << uindex[var]
             else:
-                if var not in entry_index:
-                    entry_index[var] = len(rows)
-                    rows.append((entry_for[var].offset, entry_for[var].domain_bits))
-                (positive if lit > 0 else negative).append(entry_index[var])
-        split.append((care, neg, positive, negative))
+                entry = entry_for[var]
+                for bit in entry.domain_bits:
+                    relevant |= 1 << bit
+                (positive if lit > 0 else negative).append(
+                    (entry.offset, entry.domain_bits))
+        split.append((~(relevant & ~care), neg, positive, negative))
     mask = full
     for urank in range(1 << len(layout.universals)):
-        current = None  # table-bit mask of each entry's row under urank
-        for care, neg, positive, negative in split:
-            if (urank ^ neg) & care:
-                continue  # clause satisfied by the universal assignment
-            if current is None:
-                current = []
-                for offset, domain_bits in rows:
+        for fixed, neg, positive, negative in split:
+            if urank & fixed != neg:
+                continue  # satisfied, or not its class's representative
+            acc = 0
+            for offset, domain_bits in positive:
+                row = 0
+                for j, bit in enumerate(domain_bits):
+                    row |= ((urank >> bit) & 1) << j
+                acc |= _bit_mask(total_bits, offset + row)
+            if negative:
+                all_set = full
+                for offset, domain_bits in negative:
                     row = 0
                     for j, bit in enumerate(domain_bits):
                         row |= ((urank >> bit) & 1) << j
-                    position = offset + row
-                    current.append(_bit_mask(total_bits, position))
-            acc = 0
-            for k in positive:
-                acc |= current[k]
-            if negative:
-                all_set = full
-                for k in negative:
-                    all_set &= current[k]
+                    all_set &= _bit_mask(total_bits, offset + row)
                 acc |= full ^ all_set
             mask &= acc
             if mask == 0:

@@ -177,11 +177,16 @@ def test_stats_json(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 20
     payload = json.loads(target.read_text())
+    assert list(payload) == ["schema", "verdict", "input_clauses",
+                             "output_clauses", "wall_time", "passes"]
+    assert payload["schema"] == 1
     assert payload["verdict"] == "unsat"
     assert payload["input_clauses"] == 3
     assert payload["output_clauses"] == 1
     assert isinstance(payload["passes"], list) and payload["passes"]
-    assert {"name", "conflicts"} <= set(payload["passes"][0])
+    assert list(payload["passes"][0]) == [
+        "name", "clauses_removed", "clauses_shortened", "units_added",
+        "equivalences_added", "conflicts", "wall_time"]
     assert "verdict=" not in err
 
 
@@ -189,6 +194,9 @@ def test_stats_json_for_fuzz(tmp_path):
     target = tmp_path / "stats.json"
     assert main(["--fuzz", "10", "--stats-json", str(target)]) == 0
     payload = json.loads(target.read_text())
+    assert list(payload) == ["schema", "formulas", "seed", "sat", "unsat",
+                             "unknown", "passes"]
+    assert payload["schema"] == 1
     assert payload["formulas"] == 10
     assert payload["sat"] + payload["unsat"] + payload["unknown"] == 10
 

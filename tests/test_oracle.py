@@ -1,20 +1,23 @@
 """Ground-truth oracle: Skolem tuples, both solvers, comparisons."""
 
+import random
 import sys
 import threading
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas, in_oracle_budget, oracle_bits, u_e
-from dqprep import (BudgetError, ContractViolation, Dqbf, FuzzBounds, Prefix,
-                    SkolemFunction, SkolemTuple, equisatisfiable, equivalent,
-                    evaluate, fuzz, implies, is_skolem, solve_brute,
-                    solve_expansion)
+from dqprep import (TAUTOLOGY, BudgetError, ContractViolation, Dqbf,
+                    FuzzBounds, Prefix, SkolemFunction, SkolemTuple,
+                    equisatisfiable, equivalent, evaluate, fuzz, implies,
+                    is_skolem, normalize_clause, solve_brute, solve_expansion)
 from dqprep import oracle
 from dqprep.oracle import DEFAULT_BUDGET, assignment_rank
+import reference_oracle
 from reference_oracle import reference_satisfying_mask
 
 
@@ -219,15 +222,40 @@ def test_mask_kernel_matches_reference(formula, add_empty_clause):
     assert _mask(formula) == reference_satisfying_mask(formula)
 
 
+def _wide_formulas(seed, count):
+    """Formulas with 6 to 8 universals (gappy, interleaved ids) and 2 to 4
+    existentials depending on 0 to 2 of them: most universal assignments
+    restrict a clause exactly as an earlier one did."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ids = rng.sample(range(1, 30), 12)
+        n_universal = rng.randint(6, 8)
+        universals = ids[:n_universal]
+        existentials = {
+            var: frozenset(rng.sample(universals, rng.randint(0, 2)))
+            for var in ids[n_universal:n_universal + rng.randint(2, 4)]}
+        variables = universals + list(existentials)
+        matrix = []
+        for _ in range(rng.randint(0, 10)):
+            clause = normalize_clause(
+                rng.choice(variables) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 4)))
+            if clause is not TAUTOLOGY:
+                matrix.append(clause)
+        yield Dqbf(Prefix(frozenset(universals), existentials), tuple(matrix))
+
+
 def test_mask_kernel_matches_reference_on_larger_formulas():
     seen = Counter()
-    for index, formula in enumerate(fuzz(11, 400, LARGER)):
+    stream = chain(fuzz(11, 400, LARGER), _wide_formulas(11, 300))
+    for index, formula in enumerate(stream):
         if not in_oracle_budget(formula):
             continue
         if index % 4 == 0:
             formula = Dqbf(formula.prefix, formula.matrix + ((),))
         assert _mask(formula) == reference_satisfying_mask(formula)
         universals = formula.prefix.universals
+        mentioned = {abs(lit) for clause in formula.matrix for lit in clause}
         seen["formulas"] += 1
         seen["empty clause"] += () in formula.matrix
         seen["universal-only clause"] += any(
@@ -235,10 +263,68 @@ def test_mask_kernel_matches_reference_on_larger_formulas():
             for clause in formula.matrix)
         seen["independent existential"] += any(
             not deps for deps in formula.prefix.existentials.values())
+        # an existential the matrix reads whose table has rows for a
+        # universal no clause mentions: its clauses repeat across that
+        # universal's values
+        seen["domain universal no clause mentions"] += any(
+            var in mentioned and deps - mentioned
+            for var, deps in formula.prefix.existentials.items())
         seen["unsatisfiable without an empty clause"] += (
             () not in formula.matrix and _mask(formula) == 0)
         seen["satisfiable"] += _mask(formula) != 0
-    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+    assert len(seen) == 7 and min(seen.values()) >= 10, seen
+
+
+@pytest.fixture
+def bit_mask_lookups(monkeypatch):
+    """The (total_bits, position) pairs the kernel and the reference ask
+    `_bit_mask` for, in order, one list each."""
+    lookups = {"kernel": [], "reference": []}
+    bit_mask = oracle._bit_mask
+
+    def counting(into):
+        def lookup(total_bits, position):
+            into.append((total_bits, position))
+            return bit_mask(total_bits, position)
+        return lookup
+
+    monkeypatch.setattr(oracle, "_bit_mask", counting(lookups["kernel"]))
+    monkeypatch.setattr(reference_oracle, "_bit_mask",
+                        counting(lookups["reference"]))
+    return lookups
+
+
+def _kernel_mask(formula):
+    layout = oracle._layout(formula.prefix.universals,
+                            formula.prefix.existentials.items())
+    return oracle._mask_kernel(layout, formula.matrix)
+
+
+def test_kernel_reads_each_mask_once_when_no_clause_mentions_a_universal(
+        bit_mask_lookups):
+    # 10 universals and six independent existentials, each occurring once:
+    # every one of the 2**10 universal assignments restricts every clause
+    # the same way, so the kernel applies each clause once, at 0
+    psi = Dqbf(u_e(range(1, 11), {v: frozenset() for v in range(11, 17)}),
+               ((11, -12), (13, 14, -15), (16,)))
+    assert _kernel_mask(psi) == reference_satisfying_mask(psi) != 0
+    assert Counter(bit_mask_lookups["kernel"]) == {
+        (6, position): 1 for position in range(6)}
+
+
+def test_kernel_asks_for_no_mask_the_reference_does_not(bit_mask_lookups):
+    # the table-bit masks built and kept by _bit_mask bound peak memory
+    kernel, reference = bit_mask_lookups["kernel"], bit_mask_lookups["reference"]
+    checked = 0
+    for formula in fuzz(11, 400, LARGER):
+        if not in_oracle_budget(formula):
+            continue
+        kernel.clear()
+        reference.clear()
+        assert _kernel_mask(formula) == reference_satisfying_mask(formula)
+        assert set(kernel) <= set(reference), formula
+        checked += 1
+    assert checked >= 300
 
 
 def test_budget_is_checked_on_a_remembered_mask(kernel_calls):
