@@ -35,7 +35,7 @@ EXIT_VERIFICATION = 2
 
 # version of the --stats-json payload's keys, documented in the README;
 # raised when a key is renamed, removed or changes meaning
-STATS_SCHEMA = 1
+STATS_SCHEMA = 2
 
 _VERDICT_CODES = {
     Verdict.UNKNOWN: EXIT_UNKNOWN,
@@ -139,15 +139,14 @@ def _emit_stats(stats: dict[str, object], reports: list[PassReport],
         payload = {"schema": STATS_SCHEMA, **stats,
                    "passes": [r.as_dict() for r in reports]}
         return _write(path, json.dumps(payload, indent=2) + "\n")
-    for key, value in stats.items():
-        print(f"{key}={value}", file=sys.stderr)
+    lines = list(stats.items())
     for name, merged in merge_reports(reports).items():
-        for key, value in merged.as_dict().items():
-            if key == "name":
-                continue
-            if key == "wall_time":
-                value = f"{value:.6f}"
-            print(f"{name}.{key}={value}", file=sys.stderr)
+        lines += [(f"{name}.{key}", value)
+                  for key, value in merged.as_dict().items() if key != "name"]
+    for key, value in lines:
+        if key.endswith("wall_time"):
+            value = f"{value:.6f}"
+        print(f"{key}={value}", file=sys.stderr)
     return True
 
 
@@ -212,7 +211,7 @@ def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
         "verdict": verdict.value,
         "input_clauses": len(parsed.formula.matrix),
         "output_clauses": len(result.matrix),
-        "wall_time": f"{sum(r.wall_time for r in reports):.6f}",
+        "wall_time": sum(r.wall_time for r in reports),
     }
     if not _emit_stats(stats, reports, args.stats_json):
         return EXIT_USAGE

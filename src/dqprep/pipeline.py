@@ -12,8 +12,9 @@ the empty clause settles the formula as unsatisfiable (the output is
 normalized to exactly one empty clause so it stays emittable); an empty
 matrix settles it as satisfiable. In verify mode every pass application
 that runs is cross-checked against the semantic oracle, with budget
-overruns logged and skipped rather than silently ignored; a skipped
-pass has nothing to check.
+overruns logged and skipped rather than silently ignored; its report
+counts it as checked or skipped. A pass the scheduler skips has
+nothing to check.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def _fail_verification(name: str, before: Dqbf, after: Dqbf, detail: str) -> Non
 
 def _verify_pass(name: str, before: Dqbf, after: Dqbf,
                  outcome: PropagationOutcome | None,
-                 config: PipelineConfig) -> None:
+                 config: PipelineConfig) -> bool:
+    # whether the oracle checked the application; False if it was skipped
+    # for budget
     try:
         if name == "up":
             assert outcome is not None
@@ -157,6 +160,8 @@ def _verify_pass(name: str, before: Dqbf, after: Dqbf,
                                    "pass is not equivalence-preserving")
     except BudgetError as exc:
         log.warning("verification of %s pass skipped: %s", name, exc)
+        return False
+    return True
 
 
 # Passes proven to return a formula unchanged, by the pass that made it
@@ -217,7 +222,9 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
             report.wall_time = time.perf_counter() - start
             reports.append(report)
             if config.verify:
-                _verify_pass(name, before, current, outcome, config)
+                checked = _verify_pass(name, before, current, outcome, config)
+                report.verify_checked = int(checked)
+                report.verify_skipped = int(not checked)
             if () in current.matrix:
                 return Dqbf(current.prefix, ((),)), reports, Verdict.UNSAT
             if not current.matrix:

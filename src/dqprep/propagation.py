@@ -11,8 +11,11 @@ Propagation runs on a ClauseStore: a mutable copy of a matrix with
 occurrence lists and a trail of processed literals. A pass builds one
 store and runs every probe on it: `ClauseStore.probe` propagates the
 assumptions with every universal they may depend on abstracted, reads
-the trail and takes it back, so a probe costs what it propagates. The
-pass commits its rewrites to the store in place.
+the trail and takes it back, so a probe costs what it propagates. A
+probe that needs only the conflict answer (`ClauseStore.refutes`) can
+cost less: inside `ClauseStore.based`, assumptions that extend the
+held base under the same abstraction propagate only what they add to
+the base's trail. The pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -131,6 +134,17 @@ def universal_reduce(formula: Dqbf) -> Dqbf:
     return Dqbf(formula.prefix, Canonical(_reduce(c, exist) for c in formula.matrix))
 
 
+@dataclass
+class _Base:
+    # the assumptions a store holds as a base, as given and as a set, the
+    # universals they may depend on, and whether their propagation
+    # conflicted (None until it has run)
+    assumptions: tuple[int, ...]
+    assumed: frozenset[int]
+    abstracted: frozenset[int]
+    conflict: bool | None = None
+
+
 class ClauseStore:
     """A mutable, occurrence-indexed matrix over a fixed prefix, on which
     probes propagate and passes rewrite in place.
@@ -147,7 +161,9 @@ class ClauseStore:
 
     Propagation records every processed literal on `trail`; `probe`
     takes them back, `outcome` leaves them in place. `visits` counts the
-    clauses propagation has examined over the store's lifetime.
+    clauses propagation has examined over the store's lifetime. Inside
+    `based`, the store holds a base (assumptions whose propagation
+    `refutes` extends) and must not be rewritten.
     """
 
     def __init__(self, formula: Dqbf) -> None:
@@ -161,6 +177,7 @@ class ClauseStore:
         self.trail: list[int] = []
         self.true: set[int] = set()
         self.visits = 0
+        self._base: _Base | None = None
         for clause in formula.matrix:  # already free of duplicates
             self._add(clause)
 
@@ -255,8 +272,7 @@ class ClauseStore:
         """
         assumptions = tuple(assumptions)
         existentials = self.prefix.existentials
-        clauses, occurrences = self.clauses, self.occurrences
-        true, trail = self.true, self.trail
+        clauses, true = self.clauses, self.true
         queue: deque[int] = deque()
         for cid in self.seeds:
             clause = clauses[cid]
@@ -272,7 +288,17 @@ class ClauseStore:
             if abs(lit) not in existentials and abs(lit) not in abstracted:
                 return True  # a universal unit
             queue.append(lit)
-        assumed = frozenset(assumptions)
+        return self._drain(queue, frozenset(assumptions), abstracted)
+
+    def _drain(self, queue: deque[int], assumed: frozenset[int],
+               abstracted: frozenset[int]) -> bool:
+        # the processing loop of `propagate`: whether the queued literals
+        # and the units they imply reach a conflict, processed literals
+        # going on the trail; `assumed` holds the assumptions a processed
+        # literal may contradict
+        existentials = self.prefix.existentials
+        clauses, occurrences = self.clauses, self.occurrences
+        true, trail = self.true, self.trail
         while queue:
             lit = queue.popleft()
             if lit in true or -lit in true:
@@ -293,11 +319,17 @@ class ClauseStore:
                     queue.append(unit)
         return False
 
+    def _unheld(self) -> None:
+        # probes that report a trail start from an empty one
+        if self._base is not None:
+            raise ContractViolation("a base is held; only `refutes` may probe")
+
     def probe(self, assumptions: Iterable[int]) -> tuple[bool, list[int]]:
         """Propagate the assumptions with every universal they may depend
         on abstracted, which is what makes a probe sound, then unassign
         every processed literal: whether the probe conflicted, and the
-        literals it processed in order."""
+        literals it processed in order. Not allowed inside `based`."""
+        self._unheld()
         assumptions = tuple(assumptions)
         try:
             return (self.propagate(assumptions, dep(self.prefix, assumptions)),
@@ -306,11 +338,111 @@ class ClauseStore:
             self.true.clear()
             self.trail.clear()
 
+    @contextmanager
+    def based(self, assumptions: Iterable[int]) -> Iterator[None]:
+        """Hold the assumptions as a base inside the block: `refutes`
+        answers assumptions that extend it from its propagation, which
+        runs at the first such call with every universal the base may
+        depend on abstracted and stays on the trail. The trail is empty
+        again when the block is left."""
+        self._unheld()
+        assumptions = tuple(assumptions)
+        self._base = _Base(assumptions, frozenset(assumptions),
+                           dep(self.prefix, assumptions))
+        try:
+            yield
+        finally:
+            self._base = None
+            self.true.clear()
+            self.trail.clear()
+
+    def refutes(self, assumptions: Iterable[int]) -> bool:
+        """Whether probing the assumptions conflicts: the first field of
+        `probe(assumptions)`, leaving the trail as it was.
+
+        With a base B held (see `based`), assumptions A that contain B and
+        whose other literals E depend only on universals B may depend on
+        are answered from B's trail: E is checked against it, only E and
+        what it implies are processed, and the trail is popped back to B's.
+        Any other A is propagated from an empty trail beside the base.
+        The answer is the one a fresh probe of A gives:
+
+        1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
+        2. Whether propagation conflicts does not depend on the order in
+           which it processes literals. Call a sequence of literals a
+           derivation from A if each is in A or is the unit `_unit` finds
+           in some clause under the literals before it; it is refuting if
+           A holds a universal that is not abstracted, or the sequence
+           holds a literal and its complement, or some clause is empty
+           under it. Derivation is monotone in the assignment: only
+           existential and abstracted literals are ever assigned, so under
+           a consistent superset of the assignment a clause that was empty
+           stays empty, and a clause that was the unit l is l again,
+           satisfied by l, or empty once -l is assigned (whether a
+           universal blocks l depends on the clause and deps(l) only).
+           Propagation returns a conflict only where its trail, with at
+           most one more literal of A, is a refuting derivation. Where it
+           returns none, its assignment T is consistent and holds A (an
+           assumption skipped because its complement was processed would
+           have been a conflict then), and no clause is empty or the unit
+           of an unassigned literal under T. A clause with no falsified
+           literal and no true one reads under T as under the empty
+           assignment, where only seeds are empty or units, and the seeds
+           are visited first. A clause with a falsified literal was
+           visited after the last of them was processed; a unit l found
+           then was queued, and -l was never processed later, since that
+           would falsify the clause again, so l is in T. By induction and
+           monotonicity every derivation from A stays inside T, so none
+           is refuting. A conflict is therefore a property of A and the
+           abstraction, reached in any order.
+        3. Extending B's trail: B's trail is a derivation from B, hence
+           from A, so a base conflict answers yes. Otherwise B lies in the
+           base assignment, which satisfies the end conditions of point 2
+           for B; an extra literal whose complement is already assigned
+           is a refuting derivation, and every universal of E is
+           abstracted by point 1. Draining E from there visits every
+           clause a new literal falsifies, and a new literal whose
+           complement is in B is never processed, since B is assigned; so
+           the run ends in a refuting derivation from A or in the end
+           conditions of point 2 for A, and answers as a fresh probe does.
+        """
+        assumptions = tuple(assumptions)
+        base = self._base
+        if base is not None and base.assumed.issubset(assumptions):
+            extra = [lit for lit in assumptions if lit not in base.assumed]
+            if dep(self.prefix, extra) <= base.abstracted:
+                return self._extend(base, extra)
+        held = self.true, self.trail
+        self.true, self.trail = set(), []
+        try:
+            return self.propagate(assumptions, dep(self.prefix, assumptions))
+        finally:
+            self.true, self.trail = held
+
+    def _extend(self, base: _Base, extra: list[int]) -> bool:
+        # the conflict answer for the base plus the extra literals, under
+        # the base's abstraction (point 3 of `refutes`)
+        if base.conflict is None:
+            base.conflict = self.propagate(base.assumptions, base.abstracted)
+        if base.conflict:
+            return True
+        true, trail = self.true, self.trail
+        if any(-lit in true for lit in extra):
+            return True
+        mark = len(trail)
+        try:
+            return self._drain(deque(extra), frozenset(extra), base.abstracted)
+        finally:
+            true.difference_update(trail[mark:])
+            del trail[mark:]
+
     def outcome(self, assumptions: Iterable[int] = (),
                 abstracted: frozenset[int] = frozenset()) -> PropagationOutcome:
         """Propagate and report the fixpoint formula: the abstraction
         applied to the prefix, processed variables removed from it, and
-        the unsatisfied clauses reduced. The trail is left in place."""
+        the unsatisfied clauses reduced. The trail is left in place. Not
+        allowed inside `based`."""
+        self._unheld()
         if self.propagate(assumptions, abstracted):
             return PropagationOutcome(True, steps=len(self.trail))
         true = self.true
@@ -380,11 +512,12 @@ def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     conflict once every variable the clause may depend on is abstracted?
 
     The negated clause is injected as unit assumptions, not registered in
-    the matrix proper, and `ClauseStore.probe` abstracts what they depend
-    on. A positive answer means the clause can be added to (or a present
-    copy deleted from) the matrix without changing the set of Skolem
-    functions. A ClauseStore is probed in place.
+    the matrix proper, and `ClauseStore.refutes` abstracts what they
+    depend on. A positive answer means the clause can be added to (or a
+    present copy deleted from) the matrix without changing the set of
+    Skolem functions. A ClauseStore is probed in place; inside
+    `ClauseStore.based`, a clause whose negation extends the base under
+    the same abstraction propagates only what it adds to the base.
     """
     store, canon = _store_and_clause(formula, clause)
-    conflict, _ = store.probe([-lit for lit in canon])
-    return conflict
+    return store.refutes([-lit for lit in canon])

@@ -8,7 +8,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 @dataclass
 class PassReport:
-    """What one preprocessing pass did to the formula."""
+    """What one preprocessing pass did to the formula, and, in verify
+    mode, whether the oracle checked it (`verify_checked`) or skipped it
+    for budget (`verify_skipped`). Neither verify count nor the wall time
+    is a change: they leave `changed` and equality alone."""
 
     name: str
     clauses_removed: int = 0
@@ -17,6 +20,8 @@ class PassReport:
     equivalences_added: int = 0
     conflicts: int = 0
     wall_time: float = field(default=0.0, compare=False)
+    verify_checked: int = field(default=0, compare=False)
+    verify_skipped: int = field(default=0, compare=False)
 
     @property
     def changed(self) -> bool:

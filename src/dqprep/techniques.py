@@ -14,9 +14,13 @@ dependency prefix.
 Each pass builds one ClauseStore from its input Dqbf, runs every probe
 on it with the clause under examination hidden, commits each rewrite in
 place (`ClauseStore.shorten`, `append`, `delete`) and exports a Dqbf at
-the end. The public probes take a Dqbf, whose clause or variable they
-check, or the store of a running pass, whose canonical clauses they
-trust.
+the end. Redundancy elimination also holds the negation of the hidden
+clause as the store's base while it tries the existential pivots: every
+outer resolvent on such a pivot extends that negation under the same
+abstraction, so the negation is propagated once per clause and each
+resolvent adds only its own literals (see `dqrat_eliminate_pass`). The
+public probes take a Dqbf, whose clause or variable they check, or the
+store of a running pass, whose canonical clauses they trust.
 
 All passes return the rewritten formula together with a PassReport and
 leave a formula that already contains the empty clause untouched: a
@@ -321,6 +325,25 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     literal be dropped, after which the shortened clause is reduced
     again. Universal pivots nothing depends on are skipped. Changes
     commit immediately; a derived empty clause ends the sweep.
+
+    The existential pivots of a clause C are tried with the negation of
+    C held as the store's base (`ClauseStore.based`), and every
+    `dqat_check` among them is answered from it. That needs each outer
+    resolvent R on an existential pivot p to contain C and to satisfy
+    dep(R) = dep(C):
+
+    1. `outer_variables` gives p the universals of deps(p) and the
+       existentials y with deps(y) <= deps(p), so every literal l over
+       an outer variable has dep(l) <= deps(p).
+    2. p is a literal of C, so deps(p) <= dep(C).
+    3. R is C together with the partner's outer literals other than -p
+       (`_resolve`), hence contains C, and dep(R) is dep(C) together
+       with sets inside deps(p), which is dep(C).
+
+    So -R is -C plus literals whose dependencies lie inside dep(C), the
+    case `ClauseStore.refutes` answers from the base. A resolvent on a
+    universal pivot lacks the pivot, so it is probed afresh, outside the
+    base.
     """
     report = PassReport("dqrat")
     if () in formula.matrix:
@@ -333,8 +356,10 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
         # each clause is checked against the rest; its literals are
         # already in canonical order, so pivots are tried in that order
         with store.hidden(cid):
-            deleted = any(abs(lit) in existentials
-                          and dqrat_plus_check(store, clause, lit) for lit in clause)
+            with store.based([-lit for lit in clause]):
+                deleted = any(abs(lit) in existentials
+                              and dqrat_plus_check(store, clause, lit)
+                              for lit in clause)
             dropped = None if deleted else next(
                 (lit for lit in clause if abs(lit) in depended
                  and dqrat_plus_check(store, clause, lit)), None)

@@ -141,6 +141,8 @@ def test_per_pass_stats_on_stderr(capsys):
     for name, values in counters.items():
         expected += [f"{name}.{key}={value}" for key, value in zip(keys, values)]
         expected.append(rf"{name}\.wall_time=\d+\.\d{{6}}")
+        # no oracle runs without --verify
+        expected += [f"{name}.verify_checked=0", f"{name}.verify_skipped=0"]
     assert len(lines) == 5 + len(expected)
     for line, want in zip(lines[5:], expected):
         assert re.fullmatch(want, line) if "wall_time" in want else line == want, line
@@ -148,6 +150,25 @@ def test_per_pass_stats_on_stderr(capsys):
 
 def test_fuzz_run_with_verification(capsys):
     assert main(["--fuzz", "25", "--seed", "3", "--verify"]) == 0
+    stats = dict(line.split("=") for line in capsys.readouterr().err.splitlines())
+    # every pass application that ran was checked: these formulas all
+    # fit the default oracle budget
+    for name in ("ur", "up", "upla", "vivify", "dqrat"):
+        assert int(stats[f"{name}.verify_checked"]) > 0
+        assert stats[f"{name}.verify_skipped"] == "0"
+
+
+def test_verification_skipped_for_budget_is_counted(tmp_path, capsys):
+    # one existential over five universals: 2**5 table bits, over a
+    # budget of 4, so the oracle skips every check
+    text = "p cnf 6 1\na 1 2 3 4 5 0\ne 6 0\n1 6 0\n"
+    target = tmp_path / "stats.json"
+    code = main(["--verify", "--oracle-budget", "4", "--passes", "ur",
+                 "--stats-json", str(target), write(tmp_path, text)])
+    assert code == 0
+    payload = json.loads(target.read_text())
+    assert [(p["name"], p["verify_checked"], p["verify_skipped"])
+            for p in payload["passes"]] == [("ur", 0, 1)]
 
 
 def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -179,15 +200,30 @@ def test_stats_json(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert list(payload) == ["schema", "verdict", "input_clauses",
                              "output_clauses", "wall_time", "passes"]
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["verdict"] == "unsat"
     assert payload["input_clauses"] == 3
     assert payload["output_clauses"] == 1
+    assert type(payload["wall_time"]) is float
     assert isinstance(payload["passes"], list) and payload["passes"]
     assert list(payload["passes"][0]) == [
         "name", "clauses_removed", "clauses_shortened", "units_added",
-        "equivalences_added", "conflicts", "wall_time"]
+        "equivalences_added", "conflicts", "wall_time", "verify_checked",
+        "verify_skipped"]
+    assert all(type(p["wall_time"]) is float for p in payload["passes"])
+    assert payload["wall_time"] == pytest.approx(
+        sum(p["wall_time"] for p in payload["passes"]))
     assert "verdict=" not in err
+
+
+def test_file_run_stats_on_stderr(tmp_path, capsys):
+    # the wall times on stderr keep six decimals, the top-level one too
+    assert main([write(tmp_path, UNSAT_TEXT)]) == 20
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[:3] == ["verdict=unsat", "input_clauses=3", "output_clauses=1"]
+    assert re.fullmatch(r"wall_time=\d+\.\d{6}", lines[3])
+    assert all(re.fullmatch(r"\w+\.wall_time=\d+\.\d{6}", line)
+               for line in lines[4:] if "wall_time" in line)
 
 
 def test_stats_json_for_fuzz(tmp_path):
@@ -196,7 +232,7 @@ def test_stats_json_for_fuzz(tmp_path):
     payload = json.loads(target.read_text())
     assert list(payload) == ["schema", "formulas", "seed", "sat", "unsat",
                              "unknown", "passes"]
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["formulas"] == 10
     assert payload["sat"] + payload["unsat"] + payload["unknown"] == 10
 

@@ -134,9 +134,28 @@ def test_verification_skips_over_budget_instances(caplog):
     f = Dqbf(u_e(deps, {6: deps}), ((1, 6),))
     config = PipelineConfig(passes=("ur",), verify=True)
     with caplog.at_level(logging.WARNING, logger="dqprep.pipeline"):
-        out, _, verdict = run_pipeline(config, f)
+        out, reports, verdict = run_pipeline(config, f)
     assert verdict is Verdict.UNKNOWN and out == f
     assert "skipped" in caplog.text
+    assert [(r.verify_checked, r.verify_skipped) for r in reports] == [(0, 1)]
+
+
+def test_verify_counts_leave_reports_and_schedule_alone():
+    # verify mode counts each application as checked or skipped; the
+    # counts are not changes, so the run is the one without verify
+    config = PipelineConfig(budget=6)
+    checked = skipped = 0
+    for formula in fuzz(9, 120, FuzzBounds(4, 4, 10, 3)):
+        plain = run_pipeline(config, formula)
+        verified = run_pipeline(PipelineConfig(verify=True, budget=6), formula)
+        assert verified == plain
+        assert [r.changed for r in verified[1]] == [r.changed for r in plain[1]]
+        for report in verified[1]:
+            assert report.verify_checked + report.verify_skipped == 1
+            checked += report.verify_checked
+            skipped += report.verify_skipped
+        assert all(r.verify_checked == r.verify_skipped == 0 for r in plain[1])
+    assert checked and skipped
 
 
 @given(formulas())
@@ -217,6 +236,6 @@ def test_merge_reports_sums_each_pass_in_order_of_first_appearance():
     assert totals["up"].as_dict() == {
         "name": "up", "clauses_removed": 3, "clauses_shortened": 0,
         "units_added": 3, "equivalences_added": 0, "conflicts": 0,
-        "wall_time": 0.75}
+        "wall_time": 0.75, "verify_checked": 0, "verify_skipped": 0}
     assert totals["ur"] == PassReport("ur", clauses_shortened=1, conflicts=1)
     assert reports[0].units_added == 2  # the inputs are left alone

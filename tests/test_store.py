@@ -1,20 +1,23 @@
 """The clause store behind every propagation: differential tests against
-the scan-based reference, rewrites in place, output hashes of the
-default schedule, and linear propagation on implication chains."""
+the scan-based reference, refutations inside a held base against fresh
+probes, rewrites in place, output hashes of the default schedule, and
+linear propagation on implication chains."""
 
 import hashlib
 import json
 import random
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqprep import (Dqbf, FuzzBounds, PipelineConfig, Prefix, dep,
+from dqprep import (ContractViolation, Dqbf, FuzzBounds, KernelUndefined,
+                    PipelineConfig, Prefix, dep, dqrat_plus_check,
                     emit_dqdimacs, fuzz, normalize_clause, run_pipeline)
 from dqprep.propagation import ClauseStore, abstract
-from conftest import chain
+from conftest import chain, formulas, u_e
 from reference_propagation import scan_unit_propagate
 
 GOLDEN = Path(__file__).with_name("golden_fuzz_0_500.json")
@@ -240,6 +243,113 @@ def test_hidden_clause_is_left_out(data):
     assert (conflict, len(units)) == (expected.conflict, expected.steps)
     assert fields(got) == fields(reference(rest, assumptions, abstracted))
     assert store.formula() == formula
+
+
+def base_cases(formula: Dqbf, cid: int | None, base: list[int],
+               extras: list[list[int]]) -> set[str]:
+    """With clause `cid` hidden (none if None) and `base` held, refute the
+    base plus each list of extra literals and compare with a fresh probe
+    on a store of the other clauses; the trail must be back at the base's
+    after each call and empty after the block. Returns the cases met:
+    extras answered from the base (`reused`, `complement` when one is the
+    complement of a literal on the base's trail, `base conflict` when the
+    base conflicts on its own) or by a fresh probe (`fresh`)."""
+    matrix = formula.matrix
+    rest = Dqbf(formula.prefix,
+                matrix if cid is None else matrix[:cid] + matrix[cid + 1:])
+    base_conflict, base_trail = ClauseStore(rest).probe(base)
+    reach = dep(formula.prefix, base)
+    store = ClauseStore(formula)
+    seen = set()
+    with nullcontext() if cid is None else store.hidden(cid), store.based(base):
+        for extra in extras:
+            assumptions = extra + base if len(extra) % 2 else base + extra
+            before = store.trail[:]
+            assert (store.refutes(assumptions)
+                    == ClauseStore(rest).probe(assumptions)[0])
+            if dep(formula.prefix, extra) <= reach:
+                seen.add("base conflict" if base_conflict
+                         else "complement" if any(-l in base_trail for l in extra)
+                         else "reused")
+                if not base_conflict:
+                    assert store.trail == base_trail
+            else:
+                seen.add("fresh")
+                assert store.trail == before
+            with pytest.raises(ContractViolation):
+                store.probe(assumptions)
+            with pytest.raises(ContractViolation):
+                store.outcome(assumptions)
+    assert store.trail == [] and store.true == set()
+    assert store.formula() == formula
+    return seen
+
+
+def literal_pools(formula: Dqbf, base: list[int]) -> list[list[int]]:
+    # every literal; those within the base's dependencies; the
+    # complements of the literals the base propagates
+    literals = [s * v for v in sorted(formula.prefix.variables) for s in (1, -1)]
+    reach = dep(formula.prefix, base)
+    pools = [literals, [l for l in literals if dep(formula.prefix, l) <= reach],
+             [-l for l in ClauseStore(formula).probe(base)[1]]]
+    return [pool for pool in pools if pool]
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_refutation_inside_a_base_matches_a_fresh_probe(data):
+    formula = data.draw(formulas(max_clauses=8))
+    variables = sorted(formula.prefix.variables)
+    if not variables:
+        return
+    cid = data.draw(st.none() | st.integers(0, len(formula.matrix) - 1)) \
+        if formula.matrix else None
+    literal = st.builds(lambda v, s: v * s, st.sampled_from(variables),
+                        st.sampled_from((1, -1)))
+    base = data.draw(st.lists(literal, max_size=3))
+    pools = literal_pools(formula, base)
+    extras = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        pool = data.draw(st.sampled_from(pools))
+        extras.append(data.draw(st.lists(st.sampled_from(pool), max_size=3)))
+    base_cases(formula, cid, base, extras)
+
+
+def test_refutation_inside_a_base_matches_on_fuzz_stream():
+    rng = random.Random(3)
+    seen = set()
+    for formula in fuzz(41, 600, FuzzBounds(3, 5, 12, 3)):
+        variables = sorted(formula.prefix.variables)
+        if not variables:
+            continue
+        cid = rng.randrange(len(formula.matrix)) if formula.matrix else None
+        base = [rng.choice(variables) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 3))]
+        pools = literal_pools(formula, base)
+        extras = []
+        for _ in range(4):
+            pool = rng.choice(pools)
+            extras.append([rng.choice(pool) for _ in range(rng.randint(1, 3))])
+        seen |= base_cases(formula, cid, base, extras)
+    assert seen == {"reused", "complement", "base conflict", "fresh"}
+
+
+def test_base_is_taken_back_when_an_exception_leaves_the_block():
+    # universal 2 has no dependent, so resolving on it has no kernel
+    formula = Dqbf(u_e({1, 2}, {3: frozenset({1})}), ((2, 3), (-2, 3), (1, -3)))
+    store = ClauseStore(formula)
+    with pytest.raises(KernelUndefined):
+        with store.hidden(0) as clause, store.based([-2, -3]):
+            assert not store.refutes([-2, -3])
+            assert store.trail == [-2, -3]
+            with pytest.raises(ContractViolation):
+                with store.based([-2]):
+                    pass
+            assert store.trail == [-2, -3]
+            dqrat_plus_check(store, clause, 2)
+    assert store.trail == [] and store.true == set()
+    assert store.formula() == formula
+    assert store.probe([-2, -3]) == ClauseStore(formula).probe([-2, -3])
 
 
 def test_default_schedule_outputs_match_golden_hashes():

@@ -1,5 +1,8 @@
 """Vivification, polarity lookahead, and redundancy elimination."""
 
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +13,7 @@ from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
                     equisatisfiable, equivalent, fuzz, outer_resolvent,
                     outer_variables, solve_brute, upla_apply, upla_pass,
                     upla_probe, vivify_clause, vivify_pass)
+from dqprep import techniques
 from dqprep.propagation import ClauseStore
 from dqprep.techniques import _resolve
 
@@ -461,6 +465,75 @@ def test_dqrat_pass_keeps_refuted_formula():
     f = Dqbf(flat(2), ((), (1, 2)))
     out, report = dqrat_eliminate_pass(f)
     assert out == f and not report.changed
+
+
+# universal 1; existentials 3 to 6 depend on nothing, 7 on 1. Every
+# clause has two or more existential literals whose complement occurs in
+# at least two other clauses, and the resolvents on several of them are
+# checked before a clause is kept or deleted.
+PIVOTED = Dqbf(u_e({1}, {3: frozenset(), 4: frozenset(), 5: frozenset(),
+                         6: frozenset(), 7: frozenset({1})}),
+               ((3, 4), (3, 5), (4, 5), (-3, 6), (-3, -6, 7), (-4, 6),
+                (-4, -6, -7), (-5, 6), (-5, 7, 1), (-1, -6, -7)))
+
+
+def test_dqrat_pass_propagates_each_clause_once_for_its_existential_pivots(
+        monkeypatch):
+    # counted where the resolvents are checked; a pass that propagates
+    # each resolvent of an existential pivot from an empty trail makes
+    # one full propagation per resolvent
+    existentials = PIVOTED.prefix.existentials
+    for clause in PIVOTED.matrix:
+        assert sum(1 for lit in clause if abs(lit) in existentials
+                   and sum(-lit in c for c in PIVOTED.matrix) >= 2) >= 2
+    counts, examined, pivots = Counter(), set(), []
+    propagate, check, dqat = (ClauseStore.propagate, techniques.dqrat_plus_check,
+                              techniques.dqat_check)
+
+    def counting_propagate(self, *args):
+        counts["propagate"] += 1
+        return propagate(self, *args)
+
+    def noting_check(store, clause, pivot):
+        existential = abs(pivot) in existentials
+        if existential:
+            examined.add(clause)
+        pivots.append(existential)
+        try:
+            return check(store, clause, pivot)
+        finally:
+            pivots.pop()
+
+    def counting_dqat(store, clause):
+        counts["existential" if pivots[-1] else "universal"] += 1
+        return dqat(store, clause)
+
+    monkeypatch.setattr(ClauseStore, "propagate", counting_propagate)
+    monkeypatch.setattr(techniques, "dqrat_plus_check", noting_check)
+    monkeypatch.setattr(techniques, "dqat_check", counting_dqat)
+    out, report = dqrat_eliminate_pass(PIVOTED)
+    assert report.clauses_removed == 2 and counts["universal"] == 2
+    # the resolvents one propagation per resolvent would pay for
+    assert counts["existential"] >= 2 * len(examined) == 20
+    assert counts["propagate"] <= len(examined) + counts["universal"]
+
+
+@contextmanager
+def no_base(store, assumptions):
+    yield
+
+
+@pytest.mark.parametrize("seed, bounds", [
+    (29, FuzzBounds(4, 6, 14, 4)), (31, FuzzBounds(2, 8, 20, 3))])
+def test_dqrat_pass_answers_as_without_a_base(monkeypatch, seed, bounds):
+    # with `based` a no-op, every resolvent is propagated from an empty
+    # trail; the pass must rewrite the same clauses either way
+    sample = list(fuzz(seed, 300, bounds))
+    with_base = [dqrat_eliminate_pass(f) for f in sample]
+    monkeypatch.setattr(ClauseStore, "based", no_base)
+    without = [dqrat_eliminate_pass(f) for f in sample]
+    assert with_base == without
+    assert sum(report.changed for _, report in with_base) > 100
 
 
 @given(formulas())
