@@ -96,11 +96,9 @@ class Prefix:
     variables: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        universals = frozenset(int(v) for v in self.universals)
+        universals = frozenset(map(int, self.universals))
         raw = dict(self.existentials)
-        existentials = {
-            int(y): frozenset(int(v) for v in raw[y]) for y in sorted(raw)
-        }
+        existentials = {int(y): frozenset(map(int, raw[y])) for y in sorted(raw)}
         for var in universals | existentials.keys():
             if var < 1:
                 raise ContractViolation(f"variable ids must be positive: {var}")

@@ -31,8 +31,7 @@ from .dqdimacs import emit_dqdimacs
 from .errors import BudgetError, ContractViolation, VerificationError
 from .formula import (TAUTOLOGY, Canonical, Dqbf, Prefix, literal_key,
                       normalize_clause)
-from .propagation import (PropagationOutcome, unit_propagate,
-                          universal_reduce_clause)
+from .propagation import PropagationOutcome, _reduce, unit_propagate
 from .reports import PassReport
 from .techniques import (DEFAULT_VIVIFY_BUDGET, dqrat_eliminate_pass,
                          upla_pass, vivify_pass)
@@ -75,12 +74,13 @@ class PipelineConfig:
 
 
 def _run_ur(formula: Dqbf) -> tuple[Dqbf, PassReport, None]:
+    # the matrix is canonical and over the prefix, so each clause is
+    # reduced as it is, without `universal_reduce_clause`'s checks
     report = PassReport("ur")
-    reduced = []
-    for clause in formula.matrix:
-        shorter = universal_reduce_clause(formula.prefix, clause)
-        report.clauses_shortened += len(shorter) < len(clause)
-        reduced.append(shorter)
+    existentials = formula.prefix.existentials
+    reduced = [_reduce(clause, existentials) for clause in formula.matrix]
+    report.clauses_shortened = sum(len(shorter) < len(clause) for shorter, clause
+                                   in zip(reduced, formula.matrix))
     after = Dqbf(formula.prefix, Canonical(reduced))
     report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
     if () in after.matrix and () not in formula.matrix:
@@ -93,7 +93,7 @@ def _run_up(formula: Dqbf) -> tuple[Dqbf, PassReport, PropagationOutcome]:
     outcome = unit_propagate(formula)
     if outcome.conflict:
         report.conflicts = 1
-        return Dqbf(formula.prefix, ((),)), report, outcome
+        return Dqbf(formula.prefix, Canonical(((),))), report, outcome
     after = outcome.result
     assert after is not None
     report.units_added = len(outcome.units)
@@ -226,7 +226,7 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
                 report.verify_checked = int(checked)
                 report.verify_skipped = int(not checked)
             if () in current.matrix:
-                return Dqbf(current.prefix, ((),)), reports, Verdict.UNSAT
+                return Dqbf(current.prefix, Canonical(((),))), reports, Verdict.UNSAT
             if not current.matrix:
                 return current, reports, Verdict.SAT
             settled = _settled_after(settled, name, current != before)

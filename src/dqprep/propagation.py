@@ -24,17 +24,20 @@ store's prefix, as `Canonical` does a matrix, and checks nothing.
 
 `_unit` decides whether a visited clause is a unit or empty in one scan
 without building the reduced clause; `_reduce` builds it only where it
-is the result. Formulas the store and the reductions hand back are
-marked `Canonical`, so `Dqbf` does not normalize their clauses again.
+is the result. `_reduce` returns the input tuple itself when it drops
+no literal, so a clause already reduced is not copied. Formulas the
+store and the reductions hand back are marked `Canonical`, so `Dqbf`
+does not normalize their clauses again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import CompatibilityError, ContractViolation
 from .formula import (
@@ -67,18 +70,29 @@ class PropagationOutcome:
     steps: int = 0
 
 
-def _reduce(clause: Sequence[int], existentials: Mapping[int, frozenset[int]],
+def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]],
             abstracted: frozenset[int] = frozenset()) -> Clause:
     # keep existential literals and universal literals some existential
     # literal of the clause depends on; drop the rest. An abstracted
     # universal counts as an existential with an empty dependency set.
+    # One scan finds the universal literals; a clause that loses none is
+    # returned itself.
     support: set[int] = set()
+    universal: list[int] = []
+    get = existentials.get
     for lit in clause:
-        deps = existentials.get(abs(lit))
-        if deps is not None:
-            support.update(deps)
-    return tuple(l for l in clause if abs(l) in existentials
-                 or abs(l) in abstracted or abs(l) in support)
+        deps = get(abs(lit))
+        if deps is None:
+            universal.append(lit)
+        elif deps:
+            support |= deps
+    if not universal:
+        return clause
+    dropped = [lit for lit in universal
+               if abs(lit) not in support and abs(lit) not in abstracted]
+    if not dropped:
+        return clause
+    return tuple([lit for lit in clause if lit not in dropped])
 
 
 def _unit(clause: Clause, true: Container[int],
@@ -453,12 +467,14 @@ class ClauseStore:
             existentials.update((v, frozenset()) for v in abstracted
                                 if v not in true and -v not in true)
         prefix = Prefix(self.prefix.universals - abstracted, existentials)
-        # subsequences of canonical clauses over the unassigned variables
+        # subsequences of canonical clauses over the unassigned variables;
+        # a clause without a falsified literal is reduced as it is
+        exist = self.prefix.existentials
         survivors = Canonical(
-            _reduce(tuple(l for l in c if -l not in true),
-                    self.prefix.existentials, abstracted)
+            _reduce(c if true.isdisjoint(map(neg, c))
+                    else tuple([l for l in c if -l not in true]), exist, abstracted)
             for c in self.clauses
-            if c is not None and not any(l in true for l in c))
+            if c is not None and true.isdisjoint(c))
         return PropagationOutcome(False, Dqbf(prefix, survivors),
                                   frozenset(self.trail), len(self.trail))
 

@@ -30,11 +30,11 @@ refutation is final, rewriting past it only churns.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
-from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key,
-                      normalize_clause)
+from .formula import TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key
 from .propagation import (ClauseStore, _checked, _reduce, _store_and_clause,
                           dqat_check)
 from .reports import PassReport
@@ -182,7 +182,7 @@ def upla_apply(formula: Dqbf, findings: UplaFindings) -> Dqbf:
     """Graft the findings of `upla_probe` on this formula onto it as
     clauses."""
     if findings.contradictory:
-        return Dqbf(formula.prefix, ((),))
+        return Dqbf(formula.prefix, Canonical(((),)))
     units, pairs = _additions(findings)
     return Dqbf(formula.prefix, Canonical(formula.matrix + units + sum(pairs, ())))
 
@@ -211,7 +211,7 @@ def upla_pass(formula: Dqbf, existential_only: bool = False) -> tuple[Dqbf, Pass
         findings = upla_probe(store, var)
         if findings.contradictory:
             report.conflicts += 1
-            return Dqbf(formula.prefix, ((),)), report
+            return Dqbf(formula.prefix, Canonical(((),))), report
         units, pairs = _additions(findings)
         for unit in units:
             report.units_added += store.append(unit)
@@ -276,14 +276,34 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
 def _resolve(canon: Clause, partner: Clause, pivot: int, outer: frozenset[int],
              existential: bool) -> Clause | object:
     # `outer_resolvent` of two canonical clauses, given the pivot's outer
-    # set and whether the pivot is existential. The merged literals are
-    # normalized once, which is what detects a tautological resolvent.
-    outer_part = [lit for lit in partner if abs(lit) in outer]
+    # set and whether the pivot is existential. Both parts keep canonical
+    # order, so one merge by variable builds the resolvent: a literal in
+    # both is kept once, and opposite literals make it a tautology.
     if existential:
-        merged = list(canon) + [lit for lit in outer_part if lit != -pivot]
+        first: Sequence[int] = canon
+        second = [lit for lit in partner if abs(lit) in outer and lit != -pivot]
     else:
-        merged = [lit for lit in canon if lit != pivot] + outer_part
-    return normalize_clause(merged)
+        first = [lit for lit in canon if lit != pivot]
+        second = [lit for lit in partner if abs(lit) in outer]
+    merged: list[int] = []
+    i = j = 0
+    while i < len(first) and j < len(second):
+        a, b = first[i], second[j]
+        if abs(a) < abs(b):
+            merged.append(a)
+            i += 1
+        elif abs(b) < abs(a):
+            merged.append(b)
+            j += 1
+        elif a == b:
+            merged.append(a)
+            i += 1
+            j += 1
+        else:
+            return TAUTOLOGY
+    merged += first[i:]
+    merged += second[j:]
+    return tuple(merged)
 
 
 def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) -> bool:

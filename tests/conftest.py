@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
@@ -78,6 +78,32 @@ def checking_canonical() -> Iterator[Counter]:
         yield producers
     finally:
         Dqbf.__post_init__ = init
+
+
+@contextmanager
+def counting_calls(function: Callable) -> Iterator[tuple[list, set[str]]]:
+    """Inside the block, every dqprep module that binds the package
+    function under its name binds a wrapper instead, which records the
+    arguments of each call. Yields the recorded calls and the names of
+    the modules whose binding was replaced."""
+    name = function.__name__
+    calls: list = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    modules = {module_name: module
+               for module_name, module in list(sys.modules.items())
+               if module_name.split(".")[0] == "dqprep"
+               and getattr(module, name, None) is function}
+    for module in modules.values():
+        setattr(module, name, counting)
+    try:
+        yield calls, set(modules)
+    finally:
+        for module in modules.values():
+            setattr(module, name, function)
 
 
 @pytest.fixture

@@ -13,13 +13,16 @@ from collections.abc import Mapping
 from dqprep import Clause, Dqbf, Prefix, PropagationOutcome
 
 
-def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]]) -> Clause:
+def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]],
+            abstracted: frozenset[int] = frozenset()) -> Clause:
+    # an abstracted universal is kept as an existential with no dependencies
     support: set[int] = set()
     for lit in clause:
         deps = existentials.get(abs(lit))
         if deps is not None:
             support.update(deps)
-    return tuple(l for l in clause if abs(l) in existentials or abs(l) in support)
+    return tuple(l for l in clause if abs(l) in existentials
+                 or abs(l) in abstracted or abs(l) in support)
 
 
 def scan_unit_propagate(formula: Dqbf) -> PropagationOutcome:

@@ -1,24 +1,25 @@
 """Clauses become canonical once, where they enter the program. Matrices
 the package builds itself are marked `Canonical` and only deduplicated
 by `Dqbf`; these tests check every such matrix against a fully
-validated construction, that a pipeline run builds every `Dqbf`
-without normalizing a clause (`ur` still normalizes each clause inside
-`universal_reduce_clause`), and that a store's probes check no clause
-against the prefix."""
+validated construction, that a pipeline run normalizes no clause once
+its input is built (`ur` reduces each canonical clause as it is, and
+resolvents and the UNSAT normal form are built canonical), and that a
+store's probes check no clause against the prefix."""
 
-import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given
 
-from conftest import chain, checking_canonical, formulas
+from conftest import chain, checking_canonical, counting_calls, formulas
 from dqprep import (CompatibilityError, Dqbf, FuzzBounds, PipelineConfig,
                     Prefix, Verdict, dqrat_eliminate_pass, emit_dqdimacs, fuzz,
-                    parse_dqdimacs, run_pipeline, universal_reduce, upla_apply,
-                    upla_pass, upla_probe, vivify_pass)
-from dqprep import formula as formula_module
+                    is_compatible, normalize_clause, parse_dqdimacs,
+                    run_pipeline, universal_reduce, upla_apply, upla_pass,
+                    upla_probe, vivify_pass)
 from dqprep.formula import Canonical
+
+_BOUNDS = FuzzBounds(4, 6, 14, 4)
 
 
 def test_canonical_matrix_is_only_deduplicated():
@@ -37,7 +38,7 @@ def test_default_schedule_hands_over_canonical_matrices(canonical_producers):
 
 def test_verify_mode_hands_over_canonical_matrices(canonical_producers):
     config = PipelineConfig(verify=True)
-    for formula in fuzz(3, 150, FuzzBounds(4, 6, 14, 4)):
+    for formula in fuzz(3, 150, _BOUNDS):
         run_pipeline(config, formula)
     assert {"_run_ur", "outcome", "formula",
             "_verify_pass"} <= set(canonical_producers)
@@ -51,16 +52,14 @@ def test_chain_under_ur_up_hands_over_canonical_matrices(canonical_producers):
 
 @given(formulas())
 def test_public_producers_hand_over_canonical_matrices(formula):
-    applied = 0
+    # a contradictory finding makes the UNSAT normal form, also marked
     with checking_canonical() as producers:
         parse_dqdimacs(emit_dqdimacs(formula))
         universal_reduce(formula)
         for var in sorted(formula.prefix.variables):
-            findings = upla_probe(formula, var)
-            upla_apply(formula, findings)
-            applied += not findings.contradictory
+            upla_apply(formula, upla_probe(formula, var))
     assert producers == Counter(parse_dqdimacs=1, universal_reduce=1,
-                                upla_apply=applied)
+                                upla_apply=len(formula.prefix.variables))
 
 
 def test_checker_rejects_a_matrix_that_is_not_canonical():
@@ -72,42 +71,44 @@ def test_checker_rejects_a_matrix_that_is_not_canonical():
         Dqbf(prefix, Canonical(((1, 3),)))
 
 
-def test_pipeline_normalizes_no_clause_of_a_parsed_formula(monkeypatch):
-    # counted where Dqbf construction looks it up; a pipeline that hands
-    # its canonical clauses over unmarked normalizes each of them again
+def test_pipeline_normalizes_no_clause_of_a_parsed_formula():
+    # a pipeline that hands its canonical clauses over unmarked, or
+    # checks them again, normalizes each of them again
     formula = parse_dqdimacs(emit_dqdimacs(chain(400))).formula
-    calls = []
-    normalize = formula_module.normalize_clause
-
-    def counting_normalize(literals):
-        calls.append(literals)
-        return normalize(literals)
-
-    monkeypatch.setattr(formula_module, "normalize_clause", counting_normalize)
-    _, reports, verdict = run_pipeline(PipelineConfig(passes=("ur", "up")), formula)
+    with counting_calls(normalize_clause) as (calls, _):
+        _, reports, verdict = run_pipeline(PipelineConfig(passes=("ur", "up")),
+                                           formula)
     assert verdict is Verdict.SAT and [r.name for r in reports] == ["ur", "up"]
     assert calls == []
 
 
-def test_store_probes_check_no_clause_against_the_prefix(monkeypatch):
-    # counted wherever the package binds the name; a pass whose probes
-    # check their store's canonical clauses again calls it per probe
-    calls = []
-    is_compatible = formula_module.is_compatible
+@pytest.mark.parametrize("runs", [
+    pytest.param(lambda: [(PipelineConfig(), f) for f in fuzz(3, 300, _BOUNDS)],
+                 id="default-schedule"),
+    pytest.param(lambda: [(PipelineConfig(verify=True), f)
+                          for f in fuzz(3, 300, _BOUNDS)], id="verify"),
+    pytest.param(lambda: [(PipelineConfig(passes=("ur", "up")), chain(400))],
+                 id="chain-ur-up"),
+])
+def test_pipeline_runs_normalize_no_clause(runs):
+    # counted through every module's binding, once the inputs are built:
+    # `ur`, resolvents and the UNSAT normal form reuse canonical clauses
+    runs = runs()
+    with counting_calls(normalize_clause) as (calls, modules):
+        for config, formula in runs:
+            run_pipeline(config, formula)
+    assert {"dqprep.dqdimacs", "dqprep.formula", "dqprep.pipeline",
+            "dqprep.propagation"} <= modules
+    assert calls == []
 
-    def counting_is_compatible(scope, clause):
-        calls.append(clause)
-        return is_compatible(scope, clause)
 
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "dqprep"
-                and getattr(module, "is_compatible", None) is is_compatible):
-            monkeypatch.setattr(module, "is_compatible", counting_is_compatible)
-            patched.add(name)
-    assert {"dqprep.formula", "dqprep.propagation"} <= patched
+def test_store_probes_check_no_clause_against_the_prefix():
+    # a pass whose probes check their store's canonical clauses again
+    # calls it per probe
     changed = 0
-    for formula in fuzz(5, 200, FuzzBounds(4, 6, 14, 4)):
-        for run_pass in (vivify_pass, upla_pass, dqrat_eliminate_pass):
-            changed += run_pass(formula)[1].changed
+    with counting_calls(is_compatible) as (calls, modules):
+        for formula in fuzz(5, 200, _BOUNDS):
+            for run_pass in (vivify_pass, upla_pass, dqrat_eliminate_pass):
+                changed += run_pass(formula)[1].changed
+    assert {"dqprep.formula", "dqprep.propagation"} <= modules
     assert changed and calls == []

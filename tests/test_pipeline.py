@@ -9,7 +9,8 @@ from conftest import formulas, in_oracle_budget, u_e
 from dqprep import (ContractViolation, Dqbf, FuzzBounds, PASS_NAMES,
                     PipelineConfig, Verdict, VerificationError,
                     equisatisfiable, equivalent, fuzz, run_pipeline,
-                    solve_brute)
+                    solve_brute, universal_reduce_clause)
+from dqprep.pipeline import _run_ur
 from dqprep.reports import PassReport, merge_reports
 
 
@@ -197,6 +198,25 @@ def test_without_elimination_output_is_equivalent(formula):
         assert equivalent(formula, out)
     else:
         assert equisatisfiable(formula, out)  # propagation shrank the prefix
+
+
+def test_ur_pass_matches_public_reduction_per_clause():
+    # `_run_ur` reduces the canonical clauses without checking them; the
+    # public function checks each one and must give the same formula
+    totals = [0, 0, 0]
+    for formula in fuzz(0, 500):
+        after, report, _ = _run_ur(formula)
+        reduced = [universal_reduce_clause(formula.prefix, clause)
+                   for clause in formula.matrix]
+        expected = Dqbf(formula.prefix, tuple(reduced))
+        counts = (sum(len(r) < len(c) for r, c in zip(reduced, formula.matrix)),
+                  len(formula.matrix) - len(expected.matrix),
+                  int(() in expected.matrix and () not in formula.matrix))
+        assert after == expected
+        assert (report.clauses_shortened, report.clauses_removed,
+                report.conflicts) == counts
+        totals = [t + n for t, n in zip(totals, counts)]
+    assert all(totals)
 
 
 # -- fuzzer -----------------------------------------------------------------

@@ -3,14 +3,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas, u_e
+from conftest import clauses_over, formulas, prefixes, u_e
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, Prefix,
-                    dqat_check, equivalent, literal_key, solve_brute,
-                    unit_propagate, universal_reduce, universal_reduce_clause)
-from dqprep.propagation import abstract
+                    TAUTOLOGY, dqat_check, equivalent, literal_key,
+                    solve_brute, unit_propagate, universal_reduce,
+                    universal_reduce_clause)
+from dqprep.propagation import _reduce, abstract
+from reference_propagation import _reduce as plain_reduce
 
 
 # -- universal reduction ----------------------------------------------------
@@ -81,6 +83,21 @@ def test_reduce_never_grows(formula):
     before = sum(len(c) for c in formula.matrix)
     after = sum(len(c) for c in universal_reduce(formula).matrix)
     assert after <= before
+
+
+@given(prefixes(max_universals=4, max_existentials=4), st.data())
+def test_reduce_matches_its_plain_definition(prefix, data):
+    # the early-exit kernel against the one-line definition, with a
+    # random set of universals abstracted; a clause that loses nothing
+    # comes back as the same tuple
+    assume(prefix.variables)
+    clause = data.draw(clauses_over(sorted(prefix.variables), max_width=6))
+    assume(clause is not TAUTOLOGY)
+    abstracted = data.draw(st.frozensets(st.sampled_from(sorted(prefix.universals)))
+                           if prefix.universals else st.just(frozenset()))
+    reduced = _reduce(clause, prefix.existentials, abstracted)
+    assert reduced == plain_reduce(clause, prefix.existentials, abstracted)
+    assert (reduced is clause) == (len(reduced) == len(clause))
 
 
 # -- unit propagation -------------------------------------------------------

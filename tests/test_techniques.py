@@ -4,13 +4,15 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import formulas, u_e
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
                     KernelUndefined, TAUTOLOGY, VivifyKind,
                     dqat_check, dqrat_eliminate_pass, dqrat_plus_check,
-                    equisatisfiable, equivalent, fuzz, outer_resolvent,
+                    equisatisfiable, equivalent, fuzz, normalize_clause,
+                    outer_resolvent,
                     outer_variables, solve_brute, upla_apply, upla_pass,
                     upla_probe, vivify_clause, vivify_pass)
 from dqprep import techniques
@@ -322,6 +324,30 @@ def test_resolve_matches_outer_resolvent_on_canonical_clauses(formula):
                 if -pivot in second:
                     assert (_resolve(first, second, pivot, outer, existential)
                             == outer_resolvent(prefix, first, second, pivot))
+
+
+_LITERALS = st.builds(lambda var, sign: var * sign, st.integers(1, 8),
+                      st.sampled_from((1, -1)))
+
+
+@given(st.data())
+def test_resolve_merges_as_normalization_does(data):
+    # the linear merge against normalizing the concatenated parts, on
+    # canonical clauses, any outer set and either kind of pivot
+    canon = normalize_clause(data.draw(st.lists(_LITERALS, min_size=1, max_size=7)))
+    assume(canon is not TAUTOLOGY)
+    pivot = data.draw(st.sampled_from(canon))
+    partner = normalize_clause(data.draw(st.lists(_LITERALS, max_size=7)) + [-pivot])
+    assume(partner is not TAUTOLOGY)
+    outer = data.draw(st.frozensets(st.integers(1, 8)))
+    existential = data.draw(st.booleans())
+    outer_part = [lit for lit in partner if abs(lit) in outer]
+    if existential:
+        merged = list(canon) + [lit for lit in outer_part if lit != -pivot]
+    else:
+        merged = [lit for lit in canon if lit != pivot] + outer_part
+    assert (_resolve(canon, partner, pivot, outer, existential)
+            == normalize_clause(merged))
 
 
 # -- redundancy elimination -------------------------------------------------
