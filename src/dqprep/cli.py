@@ -235,10 +235,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             verify=args.verify,
             budget=args.oracle_budget,
             upla_existential_only=args.upla_existential_only)
-    except _UsageError as exc:
-        print(f"dqprep: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ContractViolation as exc:
+    except (_UsageError, ContractViolation) as exc:
         print(f"dqprep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.fuzz is not None:

@@ -229,7 +229,7 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
                 return Dqbf(current.prefix, Canonical(((),))), reports, Verdict.UNSAT
             if not current.matrix:
                 return current, reports, Verdict.SAT
-            settled = _settled_after(settled, name, current != before)
+            settled = _settled_after(settled, name, report.changed)
             if settled >= scheduled:
                 return current, reports, Verdict.UNKNOWN
     return current, reports, Verdict.UNKNOWN

@@ -11,11 +11,12 @@ Propagation runs on a ClauseStore: a mutable copy of a matrix with
 occurrence lists and a trail of processed literals. A pass builds one
 store and runs every probe on it: `ClauseStore.probe` propagates the
 assumptions with every universal they may depend on abstracted, reads
-the trail and takes it back, so a probe costs what it propagates. A
-probe that needs only the conflict answer (`ClauseStore.refutes`) can
-cost less: inside `ClauseStore.based`, assumptions that extend the
-held base under the same abstraction propagate only what they add to
-the base's trail. The pass commits its rewrites to the store in place.
+the trail and takes it back, so a probe costs what it propagates. No
+caller chooses an abstraction. A probe that needs only the conflict
+answer (`ClauseStore.refutes`) can cost less: inside
+`ClauseStore.based`, assumptions that extend the held base under the
+same abstraction propagate only what they add to the base's trail. The
+pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -70,13 +71,10 @@ class PropagationOutcome:
     steps: int = 0
 
 
-def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]],
-            abstracted: frozenset[int] = frozenset()) -> Clause:
+def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]]) -> Clause:
     # keep existential literals and universal literals some existential
-    # literal of the clause depends on; drop the rest. An abstracted
-    # universal counts as an existential with an empty dependency set.
-    # One scan finds the universal literals; a clause that loses none is
-    # returned itself.
+    # literal of the clause depends on; drop the rest. One scan finds the
+    # universal literals; a clause that loses none is returned itself.
     support: set[int] = set()
     universal: list[int] = []
     get = existentials.get
@@ -88,8 +86,7 @@ def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]],
             support |= deps
     if not universal:
         return clause
-    dropped = [lit for lit in universal
-               if abs(lit) not in support and abs(lit) not in abstracted]
+    dropped = [lit for lit in universal if abs(lit) not in support]
     if not dropped:
         return clause
     return tuple([lit for lit in clause if lit not in dropped])
@@ -267,13 +264,13 @@ class ClauseStore:
         finally:
             self.clauses[cid] = clause
 
-    def propagate(self, assumptions: Iterable[int] = (),
-                  abstracted: frozenset[int] = frozenset()) -> bool:
+    def propagate(self, assumptions: Iterable[int] = ()) -> bool:
         """Run unit propagation with interleaved universal reduction from an
         empty trail, as if the assumptions were unit clauses appended to
-        the matrix and the abstracted universals were existentials with
-        empty dependency sets. Returns whether a conflict was derived; the
-        processed literals stay on the trail.
+        the matrix and every universal they may depend on,
+        dep(assumptions), were an existential with an empty dependency
+        set. Returns whether a conflict was derived; the processed
+        literals stay on the trail.
 
         Existential unit clauses of the matrix are queued in clause order,
         then the assumptions. Processing a literal puts it on the trail and
@@ -282,9 +279,11 @@ class ClauseStore:
         literals and is reduced again. An empty result is a conflict and a
         unit is queued; `_unit` decides which without building the
         reduced clause. A queued literal whose variable is already
-        assigned is skipped. A universal unit is a conflict.
+        assigned is skipped. A universal assumption lies in its own
+        dep, so it is abstracted and assigned like an existential.
         """
         assumptions = tuple(assumptions)
+        abstracted = dep(self.prefix, assumptions)
         existentials = self.prefix.existentials
         clauses, true = self.clauses, self.true
         queue: deque[int] = deque()
@@ -298,10 +297,7 @@ class ClauseStore:
                 return True
             if unit is not None:
                 queue.append(unit)
-        for lit in assumptions:
-            if abs(lit) not in existentials and abs(lit) not in abstracted:
-                return True  # a universal unit
-            queue.append(lit)
+        queue.extend(assumptions)
         return self._drain(queue, frozenset(assumptions), abstracted)
 
     def _drain(self, queue: deque[int], assumed: frozenset[int],
@@ -339,15 +335,12 @@ class ClauseStore:
             raise ContractViolation("a base is held; only `refutes` may probe")
 
     def probe(self, assumptions: Iterable[int]) -> tuple[bool, list[int]]:
-        """Propagate the assumptions with every universal they may depend
-        on abstracted, which is what makes a probe sound, then unassign
+        """Propagate the assumptions (see `propagate`), then unassign
         every processed literal: whether the probe conflicted, and the
         literals it processed in order. Not allowed inside `based`."""
         self._unheld()
-        assumptions = tuple(assumptions)
         try:
-            return (self.propagate(assumptions, dep(self.prefix, assumptions)),
-                    self.trail[:])
+            return self.propagate(assumptions), self.trail[:]
         finally:
             self.true.clear()
             self.trail.clear()
@@ -374,11 +367,11 @@ class ClauseStore:
         """Whether probing the assumptions conflicts: the first field of
         `probe(assumptions)`, leaving the trail as it was.
 
-        With a base B held (see `based`), assumptions A that contain B and
-        whose other literals E depend only on universals B may depend on
-        are answered from B's trail: E is checked against it, only E and
+        With a base B held (see `based`), the assumptions A must extend
+        it: contain B, with their other literals E depending only on
+        universals B may depend on; any other A is a ContractViolation.
+        A is answered from B's trail: E is checked against it, only E and
         what it implies are processed, and the trail is popped back to B's.
-        Any other A is propagated from an empty trail beside the base.
         The answer is the one a fresh probe of A gives:
 
         1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
@@ -386,8 +379,7 @@ class ClauseStore:
            which it processes literals. Call a sequence of literals a
            derivation from A if each is in A or is the unit `_unit` finds
            in some clause under the literals before it; it is refuting if
-           A holds a universal that is not abstracted, or the sequence
-           holds a literal and its complement, or some clause is empty
+           it holds a literal and its complement, or some clause is empty
            under it. Derivation is monotone in the assignment: only
            existential and abstracted literals are ever assigned, so under
            a consistent superset of the assignment a clause that was empty
@@ -420,24 +412,21 @@ class ClauseStore:
            the run ends in a refuting derivation from A or in the end
            conditions of point 2 for A, and answers as a fresh probe does.
         """
-        assumptions = tuple(assumptions)
         base = self._base
-        if base is not None and base.assumed.issubset(assumptions):
-            extra = [lit for lit in assumptions if lit not in base.assumed]
-            if dep(self.prefix, extra) <= base.abstracted:
-                return self._extend(base, extra)
-        held = self.true, self.trail
-        self.true, self.trail = set(), []
-        try:
-            return self.propagate(assumptions, dep(self.prefix, assumptions))
-        finally:
-            self.true, self.trail = held
+        if base is None:
+            return self.probe(assumptions)[0]
+        assumptions = tuple(assumptions)
+        extra = [lit for lit in assumptions if lit not in base.assumed]
+        if (not base.assumed.issubset(assumptions)
+                or not dep(self.prefix, extra) <= base.abstracted):
+            raise ContractViolation("the assumptions do not extend the held base")
+        return self._extend(base, extra)
 
     def _extend(self, base: _Base, extra: list[int]) -> bool:
         # the conflict answer for the base plus the extra literals, under
         # the base's abstraction (point 3 of `refutes`)
         if base.conflict is None:
-            base.conflict = self.propagate(base.assumptions, base.abstracted)
+            base.conflict = self.propagate(base.assumptions)
         if base.conflict:
             return True
         true, trail = self.true, self.trail
@@ -450,29 +439,24 @@ class ClauseStore:
             true.difference_update(trail[mark:])
             del trail[mark:]
 
-    def outcome(self, assumptions: Iterable[int] = (),
-                abstracted: frozenset[int] = frozenset()) -> PropagationOutcome:
-        """Propagate and report the fixpoint formula: the abstraction
-        applied to the prefix, processed variables removed from it, and
-        the unsatisfied clauses reduced. The trail is left in place. Not
-        allowed inside `based`."""
+    def outcome(self) -> PropagationOutcome:
+        """Propagate the matrix alone and report the fixpoint formula:
+        processed variables removed from the prefix and the unsatisfied
+        clauses reduced. The trail is left in place. Not allowed inside
+        `based`."""
         self._unheld()
-        if self.propagate(assumptions, abstracted):
+        if self.propagate():
             return PropagationOutcome(True, steps=len(self.trail))
         true = self.true
-        existentials = {y: deps for y, deps in self.prefix.existentials.items()
-                        if y not in true and -y not in true}
-        if abstracted:
-            existentials = {y: deps - abstracted for y, deps in existentials.items()}
-            existentials.update((v, frozenset()) for v in abstracted
-                                if v not in true and -v not in true)
-        prefix = Prefix(self.prefix.universals - abstracted, existentials)
+        exist = self.prefix.existentials
+        prefix = Prefix(self.prefix.universals,
+                        {y: deps for y, deps in exist.items()
+                         if y not in true and -y not in true})
         # subsequences of canonical clauses over the unassigned variables;
         # a clause without a falsified literal is reduced as it is
-        exist = self.prefix.existentials
         survivors = Canonical(
             _reduce(c if true.isdisjoint(map(neg, c))
-                    else tuple([l for l in c if -l not in true]), exist, abstracted)
+                    else tuple([l for l in c if -l not in true]), exist)
             for c in self.clauses
             if c is not None and true.isdisjoint(c))
         return PropagationOutcome(False, Dqbf(prefix, survivors),
@@ -528,12 +512,13 @@ def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     conflict once every variable the clause may depend on is abstracted?
 
     The negated clause is injected as unit assumptions, not registered in
-    the matrix proper, and `ClauseStore.refutes` abstracts what they
-    depend on. A positive answer means the clause can be added to (or a
-    present copy deleted from) the matrix without changing the set of
-    Skolem functions. A ClauseStore is probed in place; inside
-    `ClauseStore.based`, a clause whose negation extends the base under
-    the same abstraction propagates only what it adds to the base.
+    the matrix proper, and their propagation abstracts what they depend
+    on. A positive answer means the clause can be added to (or a present
+    copy deleted from) the matrix without changing the set of Skolem
+    functions. A ClauseStore is probed in place; inside
+    `ClauseStore.based`, the clause's negation must extend the base
+    under the same abstraction, and it propagates only what it adds to
+    the base.
     """
     store, canon = _store_and_clause(formula, clause)
     return store.refutes([-lit for lit in canon])

@@ -281,6 +281,21 @@ def test_console_entry_point(tmp_path, monkeypatch):
     assert info.value.code == 10
 
 
+def test_module_entry_point_from_a_checkout(tmp_path):
+    # `python3 -m dqprep` runs the command line without an installed script
+    from dqprep import PipelineConfig, emit_dqdimacs, run_pipeline
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "dqprep",
+                          write(tmp_path, SAT_TEXT)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 10
+    expected, _, _ = run_pipeline(PipelineConfig(),
+                                  parse_dqdimacs(SAT_TEXT).formula)
+    assert run.stdout == emit_dqdimacs(expected)
+    assert "verdict=sat" in run.stderr
+
+
 def test_cli_agrees_with_library(tmp_path, capsys):
     from dqprep import PipelineConfig, run_pipeline
     parsed = parse_dqdimacs(BLOCKED_TEXT)

@@ -88,14 +88,15 @@ def test_reduce_never_grows(formula):
 @given(prefixes(max_universals=4, max_existentials=4), st.data())
 def test_reduce_matches_its_plain_definition(prefix, data):
     # the early-exit kernel against the one-line definition, with a
-    # random set of universals abstracted; a clause that loses nothing
-    # comes back as the same tuple
+    # random set of universals abstracted in the prefix; a clause that
+    # loses nothing comes back as the same tuple
     assume(prefix.variables)
     clause = data.draw(clauses_over(sorted(prefix.variables), max_width=6))
     assume(clause is not TAUTOLOGY)
     abstracted = data.draw(st.frozensets(st.sampled_from(sorted(prefix.universals)))
                            if prefix.universals else st.just(frozenset()))
-    reduced = _reduce(clause, prefix.existentials, abstracted)
+    existentials = abstract(Dqbf(prefix, ()), abstracted).prefix.existentials
+    reduced = _reduce(clause, existentials)
     assert reduced == plain_reduce(clause, prefix.existentials, abstracted)
     assert (reduced is clause) == (len(reduced) == len(clause))
 

@@ -45,14 +45,39 @@ def probes(draw, formula: Dqbf) -> tuple[list[int], frozenset[int]]:
     return assumptions, abstracted
 
 
-def reference(formula: Dqbf, assumptions, abstracted):
+def with_units(formula: Dqbf, assumptions, abstracted) -> Dqbf:
+    """The formula with the assumptions appended as unit clauses and the
+    given universals abstracted."""
     units = tuple((lit,) for lit in assumptions)
-    return scan_unit_propagate(
-        abstract(Dqbf(formula.prefix, formula.matrix + units), abstracted))
+    return abstract(Dqbf(formula.prefix, formula.matrix + units), abstracted)
+
+
+def reference(formula: Dqbf, assumptions, abstracted):
+    return scan_unit_propagate(with_units(formula, assumptions, abstracted))
 
 
 def fields(outcome):
     return outcome.conflict, outcome.result, outcome.units, outcome.steps
+
+
+def assert_probe_matches(probed, expected):
+    # a probe's conflict answer and trail against a reference outcome
+    conflict, trail = probed
+    assert (conflict, len(trail)) == (expected.conflict, expected.steps)
+    if not conflict:
+        assert frozenset(trail) == expected.units
+
+
+def assert_matches_scan_reference(formula: Dqbf, assumptions, abstracted):
+    # the fixpoint of the formula with the assumptions as units under the
+    # abstraction S, and the probe of the assumptions on the formula under
+    # S, whose own abstraction adds what they depend on: S | dep(A)
+    got = ClauseStore(with_units(formula, assumptions, abstracted)).outcome()
+    assert fields(got) == fields(reference(formula, assumptions, abstracted))
+    reach = abstracted | dep(formula.prefix, assumptions)
+    assert_probe_matches(
+        ClauseStore(abstract(formula, abstracted)).probe(assumptions),
+        reference(formula, assumptions, reach))
 
 
 @given(st.data())
@@ -60,8 +85,7 @@ def fields(outcome):
 def test_store_matches_scan_reference(data):
     formula = data.draw(fuzz_formulas())
     assumptions, abstracted = data.draw(probes(formula))
-    got = ClauseStore(formula).outcome(assumptions, abstracted)
-    assert fields(got) == fields(reference(formula, assumptions, abstracted))
+    assert_matches_scan_reference(formula, assumptions, abstracted)
 
 
 def test_fuzz_stream_matches_scan_reference():
@@ -77,8 +101,7 @@ def test_fuzz_stream_matches_scan_reference():
                        for _ in range(rng.randint(0, 4))]
         abstracted = frozenset(u for u in formula.prefix.universals
                                if rng.random() < 0.5)
-        got = ClauseStore(formula).outcome(assumptions, abstracted)
-        assert fields(got) == fields(reference(formula, assumptions, abstracted))
+        assert_matches_scan_reference(formula, assumptions, abstracted)
 
 
 def test_steps_follow_fifo_order():
@@ -89,10 +112,10 @@ def test_steps_follow_fifo_order():
     prefix = Prefix(frozenset({1}), {2: frozenset({1}), 3: frozenset(),
                                      4: frozenset()})
     formula = Dqbf(prefix, ((-1, -3, 4), (-1, -3), (-2, -3), (2, -4), (3,)))
-    outcome = ClauseStore(formula).outcome([3, 3, 4], frozenset({1}))
+    conflict, trail = ClauseStore(abstract(formula, {1})).probe([3, 3, 4])
     expected = reference(formula, [3, 3, 4], frozenset({1}))
     assert expected.conflict and expected.steps == 4
-    assert fields(outcome) == fields(expected)
+    assert conflict and trail == [3, 4, -1, -2]
 
 
 # universals 1 and 2; existentials 3 and 4 depend on 1, 5 and 6 on nothing
@@ -102,6 +125,9 @@ KERNEL_PREFIX = Prefix(frozenset({1, 2}), {3: frozenset({1}), 4: frozenset({1}),
 
 @pytest.mark.parametrize(
     "matrix, assumptions, abstracted, conflict, units, visits", [
+        # `visits` counts the visits the comments describe; each
+        # assumption, a unit clause of the matrix here, adds the visit
+        # of its seed
         # -4 leaves 3 and the universal 1 in deps(3): not a unit
         (((1, 3, 4),), [-4], frozenset(), False, {-4}, 1),
         # 1 abstracted is a second open literal beside 3: still no unit
@@ -120,13 +146,13 @@ KERNEL_PREFIX = Prefix(frozenset({1, 2}), {3: frozenset({1}), 4: frozenset({1}),
 def test_unit_decision_examples(matrix, assumptions, abstracted, conflict,
                                 units, visits):
     formula = Dqbf(KERNEL_PREFIX, matrix)
-    store = ClauseStore(formula)
-    got = store.outcome(assumptions, abstracted)
+    store = ClauseStore(with_units(formula, assumptions, abstracted))
+    got = store.outcome()
     assert fields(got) == fields(reference(formula, assumptions, abstracted))
     assert got.conflict == conflict
     if not conflict:
         assert got.units == frozenset(units)
-    assert store.visits == visits
+    assert store.visits == visits + len(assumptions)
 
 
 @given(st.data())
@@ -134,19 +160,17 @@ def test_unit_decision_examples(matrix, assumptions, abstracted, conflict,
 def test_probe_undoes_its_trail(data):
     formula = data.draw(fuzz_formulas())
     # a probe abstracts what its assumptions depend on; the drawn
-    # abstraction of the first draw goes unused
+    # abstractions go unused
     assumptions, _ = data.draw(probes(formula))
-    second = data.draw(probes(formula))
+    second, _ = data.draw(probes(formula))
     store = ClauseStore(formula)
-    conflict, units = store.probe(assumptions)
-    expected = reference(formula, assumptions, dep(formula.prefix, assumptions))
-    assert conflict == expected.conflict
-    assert len(units) == expected.steps
-    if not conflict:
-        assert frozenset(units) == expected.units
+    assert_probe_matches(store.probe(assumptions), reference(
+        formula, assumptions, dep(formula.prefix, assumptions)))
     assert store.trail == [] and store.true == set()
-    again = store.outcome(*second)
-    assert fields(again) == fields(reference(formula, *second))
+    assert_probe_matches(store.probe(second), reference(
+        formula, second, dep(formula.prefix, second)))
+    again = store.outcome()
+    assert fields(again) == fields(scan_unit_propagate(formula))
 
 
 @given(st.data())
@@ -186,10 +210,10 @@ def test_rewrites_in_place_match_a_rebuilt_store(data):
     for lit, ids in store.occurrences.items():
         assert ids == [cid for cid, c in enumerate(store.clauses)
                        if c is not None and lit in c]
-    rebuilt = Dqbf(formula.prefix, tuple(model))
-    assumptions, abstracted = data.draw(probes(formula))
-    assert (fields(store.outcome(assumptions, abstracted))
-            == fields(ClauseStore(rebuilt).outcome(assumptions, abstracted)))
+    rebuilt = ClauseStore(Dqbf(formula.prefix, tuple(model)))
+    assumptions, _ = data.draw(probes(formula))
+    assert store.probe(assumptions) == rebuilt.probe(assumptions)
+    assert fields(store.outcome()) == fields(rebuilt.outcome())
 
 
 @given(st.data())
@@ -231,17 +255,17 @@ def test_hidden_clause_is_left_out(data):
     if not formula.matrix:
         return
     cid = data.draw(st.integers(min_value=0, max_value=len(formula.matrix) - 1))
-    assumptions, abstracted = data.draw(probes(formula))
+    assumptions, _ = data.draw(probes(formula))
     rest = Dqbf(formula.prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
     store = ClauseStore(formula)
     with store.hidden(cid) as clause:
         assert clause == formula.matrix[cid]
         assert store.find(clause) is None
-        conflict, units = store.probe(assumptions)
-        got = store.outcome(assumptions, abstracted)
-    expected = reference(rest, assumptions, dep(formula.prefix, assumptions))
-    assert (conflict, len(units)) == (expected.conflict, expected.steps)
-    assert fields(got) == fields(reference(rest, assumptions, abstracted))
+        probed = store.probe(assumptions)
+        got = store.outcome()
+    assert_probe_matches(probed, reference(
+        rest, assumptions, dep(formula.prefix, assumptions)))
+    assert fields(got) == fields(scan_unit_propagate(rest))
     assert store.formula() == formula
 
 
@@ -253,7 +277,9 @@ def base_cases(formula: Dqbf, cid: int | None, base: list[int],
     after each call and empty after the block. Returns the cases met:
     extras answered from the base (`reused`, `complement` when one is the
     complement of a literal on the base's trail, `base conflict` when the
-    base conflicts on its own) or by a fresh probe (`fresh`)."""
+    base conflicts on its own) or refused with a ContractViolation, the
+    trail unmoved, because they depend on more than the base
+    (`refused`)."""
     matrix = formula.matrix
     rest = Dqbf(formula.prefix,
                 matrix if cid is None else matrix[:cid] + matrix[cid + 1:])
@@ -265,21 +291,23 @@ def base_cases(formula: Dqbf, cid: int | None, base: list[int],
         for extra in extras:
             assumptions = extra + base if len(extra) % 2 else base + extra
             before = store.trail[:]
-            assert (store.refutes(assumptions)
-                    == ClauseStore(rest).probe(assumptions)[0])
             if dep(formula.prefix, extra) <= reach:
+                assert (store.refutes(assumptions)
+                        == ClauseStore(rest).probe(assumptions)[0])
                 seen.add("base conflict" if base_conflict
                          else "complement" if any(-l in base_trail for l in extra)
                          else "reused")
                 if not base_conflict:
                     assert store.trail == base_trail
             else:
-                seen.add("fresh")
+                with pytest.raises(ContractViolation):
+                    store.refutes(assumptions)
+                seen.add("refused")
                 assert store.trail == before
             with pytest.raises(ContractViolation):
                 store.probe(assumptions)
             with pytest.raises(ContractViolation):
-                store.outcome(assumptions)
+                store.outcome()
     assert store.trail == [] and store.true == set()
     assert store.formula() == formula
     return seen
@@ -331,7 +359,7 @@ def test_refutation_inside_a_base_matches_on_fuzz_stream():
             pool = rng.choice(pools)
             extras.append([rng.choice(pool) for _ in range(rng.randint(1, 3))])
         seen |= base_cases(formula, cid, base, extras)
-    assert seen == {"reused", "complement", "base conflict", "fresh"}
+    assert seen == {"reused", "complement", "base conflict", "refused"}
 
 
 def test_base_is_taken_back_when_an_exception_leaves_the_block():
