@@ -154,11 +154,7 @@ def _run_fuzz(args: argparse.Namespace, config: PipelineConfig) -> int:
     counts = {Verdict.SAT: 0, Verdict.UNSAT: 0, Verdict.UNKNOWN: 0}
     reports: list[PassReport] = []
     for formula in fuzz(args.seed, args.fuzz, FuzzBounds()):
-        try:
-            _, formula_reports, verdict = run_pipeline(config, formula)
-        except VerificationError as exc:
-            print(f"dqprep: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
+        _, formula_reports, verdict = run_pipeline(config, formula)
         counts[verdict] += 1
         reports.extend(formula_reports)
     stats: dict[str, object] = {
@@ -197,11 +193,7 @@ def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
     for diagnostic in parsed.diagnostics:
         print(f"dqprep: {source_name}: line {diagnostic.line}: "
               f"{diagnostic.severity}: {diagnostic.message}", file=sys.stderr)
-    try:
-        result, reports, verdict = run_pipeline(config, parsed.formula)
-    except VerificationError as exc:
-        print(f"dqprep: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    result, reports, verdict = run_pipeline(config, parsed.formula)
     output = emit_dqdimacs(result)
     if args.out is None:
         sys.stdout.write(output)
@@ -238,9 +230,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, ContractViolation) as exc:
         print(f"dqprep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.fuzz is not None:
-        return _run_fuzz(args, config)
-    return _run_file(args, config)
+    try:
+        if args.fuzz is not None:
+            return _run_fuzz(args, config)
+        return _run_file(args, config)
+    except VerificationError as exc:
+        # raised before either mode writes its output or its stats
+        print(f"dqprep: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 def console_main() -> None:

@@ -195,23 +195,19 @@ def _bit_mask(total_bits: int, position: int) -> int:
     return mask
 
 
-def _check_budget(total_bits: int, universals: int, limit: int) -> None:
-    if total_bits > limit:
-        raise BudgetError(
-            f"candidate space 2**{total_bits} exceeds 2**{limit}")
-    if universals > limit:
-        raise BudgetError(
-            f"{universals} universals exceed the 2**{limit} budget")
-
-
 def _satisfying_mask(formula: Dqbf, limit: int) -> tuple[int, _Layout]:
     """The set of satisfying candidate tuples and the layout that numbers
     them. The budget is checked on every call; a formula's mask is only
     computed and remembered once the check passed."""
     prefix = formula.prefix
     dependencies = tuple(prefix.existentials.items())
-    _check_budget(sum(1 << len(deps) for _, deps in dependencies),
-                  len(prefix.universals), limit)
+    total_bits = sum(1 << len(deps) for _, deps in dependencies)
+    if total_bits > limit:
+        raise BudgetError(
+            f"candidate space 2**{total_bits} exceeds 2**{limit}")
+    if len(prefix.universals) > limit:
+        raise BudgetError(
+            f"{len(prefix.universals)} universals exceed the 2**{limit} budget")
     return _remembered_mask(prefix.universals, dependencies, formula.matrix)
 
 
@@ -226,11 +222,12 @@ def _remembered_mask(universals: frozenset[int],
 def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
     # Each clause is split into its universal part, as two bit sets over
     # universal indices (`care`: the universals it mentions, `neg`: those
-    # that occur negated), and the entries of its positive and negative
-    # existential literals. A universal assignment `urank` falsifies the
-    # universal part iff urank & care == neg. The clause then keeps the
-    # tuples whose table bit at the current row of some positive entry
-    # is set, or at the current row of some negative entry is clear.
+    # that occur negated), and its existential literals, each as its
+    # entry's offset and domain bits and its polarity. A universal
+    # assignment `urank` falsifies the universal part iff
+    # urank & care == neg. The clause then keeps the tuples whose table
+    # bit at the current row of some literal's entry is set, for a
+    # positive literal, or clear, for a negative one.
     #
     # That restricted clause depends on urank only through the bits in
     # `relevant`: `care` plus the domain bits of the clause's entries.
@@ -243,7 +240,10 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
     # clause; ANDing it again changes nothing. After each urank the mask
     # is thus the AND of the restricted clauses of every assignment up
     # to it, as if each clause were applied at every assignment, and it
-    # reaches 0 no later. Rows are computed only for the entries of the
+    # reaches 0 no later. Every representative is 0 outside `read`, the
+    # union of each clause's `relevant` and `care`, and any other urank
+    # applies no clause, so only the subsets of `read` are walked, in
+    # ascending order. Rows are computed only for the entries of the
     # clause being applied, so no table-bit mask is built (and kept by
     # _bit_mask) for a row nothing reads.
     total_bits = layout.total_bits
@@ -251,10 +251,10 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
     entry_for = {e.variable: e for e in layout.entries}
     uindex = layout.uindex
     split = []
+    read = 0
     for clause in matrix:
         care = neg = relevant = 0
-        positive: list[tuple[int, tuple[int, ...]]] = []
-        negative: list[tuple[int, tuple[int, ...]]] = []
+        literals: list[tuple[int, tuple[int, ...], bool]] = []
         for lit in clause:
             var = abs(lit)
             if var in uindex:
@@ -265,32 +265,28 @@ def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
                 entry = entry_for[var]
                 for bit in entry.domain_bits:
                     relevant |= 1 << bit
-                (positive if lit > 0 else negative).append(
-                    (entry.offset, entry.domain_bits))
-        split.append((~(relevant & ~care), neg, positive, negative))
+                literals.append((entry.offset, entry.domain_bits, lit > 0))
+        read |= care | relevant
+        split.append((~(relevant & ~care), neg, literals))
     mask = full
-    for urank in range(1 << len(layout.universals)):
-        for fixed, neg, positive, negative in split:
+    urank = 0
+    while True:
+        for fixed, neg, literals in split:
             if urank & fixed != neg:
                 continue  # satisfied, or not its class's representative
             acc = 0
-            for offset, domain_bits in positive:
+            for offset, domain_bits, positive in literals:
                 row = 0
                 for j, bit in enumerate(domain_bits):
                     row |= ((urank >> bit) & 1) << j
-                acc |= _bit_mask(total_bits, offset + row)
-            if negative:
-                all_set = full
-                for offset, domain_bits in negative:
-                    row = 0
-                    for j, bit in enumerate(domain_bits):
-                        row |= ((urank >> bit) & 1) << j
-                    all_set &= _bit_mask(total_bits, offset + row)
-                acc |= full ^ all_set
+                bit_mask = _bit_mask(total_bits, offset + row)
+                acc |= bit_mask if positive else full ^ bit_mask
             mask &= acc
             if mask == 0:
                 return 0
-    return mask
+        urank = (urank - read) & read  # the next subset of `read`
+        if urank == 0:
+            return mask
 
 
 def solve_brute(formula: Dqbf, limit: int = DEFAULT_BUDGET) -> SolveResult:

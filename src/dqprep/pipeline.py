@@ -133,31 +133,25 @@ def _verify_pass(name: str, before: Dqbf, after: Dqbf,
                  outcome: PropagationOutcome | None,
                  config: PipelineConfig) -> bool:
     # whether the oracle checked the application; False if it was skipped
-    # for budget
+    # for budget. `ur`, `upla` and `vivify` preserve equivalence; `up`'s
+    # derived units must be implied, and `up` and `dqrat` preserve
+    # satisfiability (after an `up` conflict, `after` is the empty clause
+    # over `before`'s prefix). The units are checked first, so the oracle's
+    # memo keeps `after`'s mask for the next pass.
     try:
-        if name == "up":
-            assert outcome is not None
-            if outcome.conflict:
-                if oracle.solve_brute(before, config.budget).satisfiable:
-                    _fail_verification(name, before, after,
-                                       "propagation conflict on a satisfiable formula")
-            else:
-                units = tuple((u,) for u in sorted(outcome.units, key=literal_key))
-                with_units = Dqbf(before.prefix, Canonical(before.matrix + units))
-                if not oracle.equivalent(before, with_units, config.budget):
-                    _fail_verification(name, before, after,
-                                       "derived units are not implied")
-                if not oracle.equisatisfiable(before, after, config.budget):
-                    _fail_verification(name, before, after,
-                                       "propagated formula changed satisfiability")
-        elif name == "dqrat":
+        if name == "up" and outcome is not None and not outcome.conflict:
+            units = tuple((u,) for u in sorted(outcome.units, key=literal_key))
+            with_units = Dqbf(before.prefix, Canonical(before.matrix + units))
+            if not oracle.equivalent(before, with_units, config.budget):
+                _fail_verification(name, before, after,
+                                   "derived units are not implied")
+        if name in ("up", "dqrat"):
             if not oracle.equisatisfiable(before, after, config.budget):
                 _fail_verification(name, before, after,
-                                   "elimination changed satisfiability")
-        else:
-            if not oracle.equivalent(before, after, config.budget):
-                _fail_verification(name, before, after,
-                                   "pass is not equivalence-preserving")
+                                   "pass changed satisfiability")
+        elif not oracle.equivalent(before, after, config.budget):
+            _fail_verification(name, before, after,
+                               "pass is not equivalence-preserving")
     except BudgetError as exc:
         log.warning("verification of %s pass skipped: %s", name, exc)
         return False

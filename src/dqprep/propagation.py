@@ -170,11 +170,11 @@ class ClauseStore:
     the duration of a block, which leaves it out of propagation and out
     of `find` without touching the occurrence lists.
 
-    Propagation records every processed literal on `trail`; `probe`
-    takes them back, `outcome` leaves them in place. `visits` counts the
-    clauses propagation has examined over the store's lifetime. Inside
-    `based`, the store holds a base (assumptions whose propagation
-    `refutes` extends) and must not be rewritten.
+    Propagation records every processed literal on `trail`; `probe` and
+    `outcome` take them back. `visits` counts the clauses propagation
+    has examined over the store's lifetime. Inside `based`, the store
+    holds a base (assumptions whose propagation `refutes` extends) and
+    must not be rewritten.
     """
 
     def __init__(self, formula: Dqbf) -> None:
@@ -440,14 +440,14 @@ class ClauseStore:
             del trail[mark:]
 
     def outcome(self) -> PropagationOutcome:
-        """Propagate the matrix alone and report the fixpoint formula:
+        """Probe the matrix alone and report the fixpoint formula:
         processed variables removed from the prefix and the unsatisfied
-        clauses reduced. The trail is left in place. Not allowed inside
-        `based`."""
-        self._unheld()
-        if self.propagate():
-            return PropagationOutcome(True, steps=len(self.trail))
-        true = self.true
+        clauses reduced. The trail is empty again afterwards. Not allowed
+        inside `based`."""
+        conflict, trail = self.probe(())
+        if conflict:
+            return PropagationOutcome(True, steps=len(trail))
+        true = frozenset(trail)
         exist = self.prefix.existentials
         prefix = Prefix(self.prefix.universals,
                         {y: deps for y, deps in exist.items()
@@ -459,8 +459,8 @@ class ClauseStore:
                     else tuple([l for l in c if -l not in true]), exist)
             for c in self.clauses
             if c is not None and true.isdisjoint(c))
-        return PropagationOutcome(False, Dqbf(prefix, survivors),
-                                  frozenset(self.trail), len(self.trail))
+        return PropagationOutcome(False, Dqbf(prefix, survivors), true,
+                                  len(trail))
 
 
 def unit_propagate(formula: Dqbf) -> PropagationOutcome:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dqprep import VerificationError, parse_dqdimacs
+from dqprep import Dqbf, VerificationError, parse_dqdimacs
 from dqprep.cli import main
 
 SAT_TEXT = "p cnf 1 1\ne 1 0\n1 0\n"
@@ -181,6 +181,25 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     code = main([write(tmp_path, SAT_TEXT)])
     assert code == 2
     assert "dummy failure" in capsys.readouterr().err
+
+
+def test_fuzz_verification_failure_writes_no_stats(tmp_path, monkeypatch,
+                                                   capsys):
+    import dqprep.pipeline as pipeline
+    from dqprep.reports import PassReport
+
+    def clause_eater(formula, budget):
+        return Dqbf(formula.prefix, ()), PassReport("vivify")
+
+    monkeypatch.setattr(pipeline, "vivify_pass", clause_eater)
+    target = tmp_path / "stats.json"
+    for stats in ([], ["--stats-json", str(target)]):
+        code = main(["--fuzz", "20", "--passes", "vivify", "--verify", *stats])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "vivify pass failed verification" in err
+        assert not any(line.startswith("formulas=") for line in err.splitlines())
+    assert not target.exists()
 
 
 def test_out_file_keeps_stdout_clean(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from itertools import chain
 
@@ -310,6 +311,25 @@ def test_kernel_reads_each_mask_once_when_no_clause_mentions_a_universal(
     assert _kernel_mask(psi) == reference_satisfying_mask(psi) != 0
     assert Counter(bit_mask_lookups["kernel"]) == {
         (6, position): 1 for position in range(6)}
+
+
+def test_kernel_walks_only_the_universals_some_clause_reads():
+    # 20 universals that no clause reads, six independent existentials
+    # and 12 clauses, satisfiable, so no early exit ends the walk: only
+    # universal assignment 0 can apply a clause. The mask does not
+    # depend on universals nothing reads, so the reference, which walks
+    # all 2**20 assignments, is run on the same formula without them
+    existentials = {v: frozenset() for v in range(21, 27)}
+    matrix = tuple(normalize_clause(c) for c in (
+        (21, 22), (-21, 23), (22, -24), (25, 26, -21), (-25, 24),
+        (23, 24, 26), (-26, -22, 21), (21, -23, 25), (24, 25),
+        (-24, 26, 22), (21, 26), (23, -25, -26)))
+    psi = Dqbf(u_e(range(1, 21), existentials), matrix)
+    start = time.perf_counter()
+    mask, _ = oracle._satisfying_mask(psi, 20)
+    assert time.perf_counter() - start < 0.1
+    assert mask == reference_satisfying_mask(
+        Dqbf(u_e((), existentials), matrix)) != 0
 
 
 def test_kernel_asks_for_no_mask_the_reference_does_not(bit_mask_lookups):

@@ -11,6 +11,7 @@ from dqprep import (ContractViolation, Dqbf, FuzzBounds, PASS_NAMES,
                     equisatisfiable, equivalent, fuzz, run_pipeline,
                     solve_brute, universal_reduce_clause)
 from dqprep.pipeline import _run_ur
+from dqprep.propagation import PropagationOutcome
 from dqprep.reports import PassReport, merge_reports
 
 
@@ -128,6 +129,35 @@ def test_verification_catches_a_broken_pass_on_a_remembered_mask(
         run_pipeline(config, f)
     assert "vivify pass failed verification" in str(info.value)
     assert kernel_calls == [f.matrix, f.matrix[:-1]]
+
+
+# x1 or x2 over two independent existentials
+SATISFIABLE = Dqbf(u_e(set(), {1: frozenset(), 2: frozenset()}), ((1, 2),))
+
+
+@pytest.mark.parametrize("bound, broken, formula, name", [
+    # a conflict on a satisfiable formula
+    ("unit_propagate", lambda f: PropagationOutcome(True), SATISFIABLE, "up"),
+    # x1 = true is one way to satisfy (1 2), not the only one; the
+    # reported fixpoint is satisfiable, so only the unit check can fail
+    ("unit_propagate", lambda f: PropagationOutcome(
+        False, Dqbf(u_e(set(), {2: frozenset()}), ()), frozenset({1}), 1),
+     SATISFIABLE, "up"),
+    # no unit, so the unit check passes; the fixpoint is unsatisfiable
+    ("unit_propagate", lambda f: PropagationOutcome(
+        False, Dqbf(f.prefix, ((1,), (-1,)))), SATISFIABLE, "up"),
+    # every clause of an unsatisfiable formula eliminated
+    ("dqrat_eliminate_pass", lambda f: (Dqbf(f.prefix, ()), PassReport("dqrat")),
+     Dqbf(SATISFIABLE.prefix, ((1,), (-1,))), "dqrat"),
+], ids=["up-conflict", "up-unit", "up-result", "dqrat"])
+def test_verification_catches_a_broken_satisfiability_check(
+        monkeypatch, bound, broken, formula, name):
+    import dqprep.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, bound, broken)
+    with pytest.raises(VerificationError) as info:
+        run_pipeline(PipelineConfig(passes=(name,), verify=True), formula)
+    assert str(info.value).startswith(f"{name} pass failed verification")
 
 
 def test_verification_skips_over_budget_instances(caplog):

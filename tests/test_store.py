@@ -173,6 +173,16 @@ def test_probe_undoes_its_trail(data):
     assert fields(again) == fields(scan_unit_propagate(formula))
 
 
+def test_outcome_leaves_the_store_as_it_found_it():
+    # a probe after `outcome` answers as on a fresh store
+    formula = Dqbf(u_e(set(), {1: frozenset(), 2: frozenset()}),
+                   ((1,), (-1, 2)))
+    store = ClauseStore(formula)
+    store.outcome()
+    assert store.trail == [] and store.true == set()
+    assert store.probe([-2]) == ClauseStore(formula).probe([-2]) == (True, [1, -2])
+
+
 @given(st.data())
 @settings(max_examples=150)
 def test_rewrites_in_place_match_a_rebuilt_store(data):
