@@ -9,14 +9,16 @@ universal unit clause is a conflict rather than an assignment.
 
 Propagation runs on a ClauseStore: a mutable copy of a matrix with
 occurrence lists and a trail of processed literals. A pass builds one
-store and runs every probe on it: `ClauseStore.probe` propagates the
-assumptions with every universal they may depend on abstracted, reads
-the trail and takes it back, so a probe costs what it propagates. No
-caller chooses an abstraction. A probe that needs only the conflict
-answer (`ClauseStore.refutes`) can cost less: inside
-`ClauseStore.based`, assumptions that extend the held base under the
-same abstraction propagate only what they add to the base's trail. The
-pass commits its rewrites to the store in place.
+store and runs every probe on it. A propagation starts in one of two
+places, and each abstracts every universal its assumptions may depend
+on, so no caller chooses an abstraction: `ClauseStore.probe` propagates
+the assumptions, reads the trail and takes it back, so a probe costs
+what it propagates; `ClauseStore.based` propagates a base on entry and
+keeps its trail for the block. A probe that needs only the conflict
+answer (`ClauseStore.refutes`) can cost less: inside `based`,
+assumptions that extend the base under the same abstraction propagate
+only what they add to the base's trail. The pass commits its rewrites
+to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -145,17 +147,6 @@ def universal_reduce(formula: Dqbf) -> Dqbf:
     return Dqbf(formula.prefix, Canonical(_reduce(c, exist) for c in formula.matrix))
 
 
-@dataclass
-class _Base:
-    # the assumptions a store holds as a base, as given and as a set, the
-    # universals they may depend on, and whether their propagation
-    # conflicted (None until it has run)
-    assumptions: tuple[int, ...]
-    assumed: frozenset[int]
-    abstracted: frozenset[int]
-    conflict: bool | None = None
-
-
 class ClauseStore:
     """A mutable, occurrence-indexed matrix over a fixed prefix, on which
     probes propagate and passes rewrite in place.
@@ -170,11 +161,12 @@ class ClauseStore:
     the duration of a block, which leaves it out of propagation and out
     of `find` without touching the occurrence lists.
 
-    Propagation records every processed literal on `trail`; `probe` and
-    `outcome` take them back. `visits` counts the clauses propagation
-    has examined over the store's lifetime. Inside `based`, the store
-    holds a base (assumptions whose propagation `refutes` extends) and
-    must not be rewritten.
+    Propagation starts only in `probe` and `based` and records every
+    processed literal on `trail`; `probe` and `outcome` take them back.
+    `visits` counts the clauses propagation has examined over the
+    store's lifetime. Inside `based`, the store holds a base
+    (assumptions, propagated on entry, whose trail `refutes` extends)
+    and must not be rewritten.
     """
 
     def __init__(self, formula: Dqbf) -> None:
@@ -188,7 +180,9 @@ class ClauseStore:
         self.trail: list[int] = []
         self.true: set[int] = set()
         self.visits = 0
-        self._base: _Base | None = None
+        # inside `based`: the base as a set, what it may depend on, and
+        # whether its propagation conflicted
+        self._base: tuple[frozenset[int], frozenset[int], bool] | None = None
         for clause in formula.matrix:  # already free of duplicates
             self._add(clause)
 
@@ -264,13 +258,14 @@ class ClauseStore:
         finally:
             self.clauses[cid] = clause
 
-    def propagate(self, assumptions: Iterable[int] = ()) -> bool:
+    def _propagate(self, assumptions: tuple[int, ...],
+                   abstracted: frozenset[int]) -> bool:
         """Run unit propagation with interleaved universal reduction from an
         empty trail, as if the assumptions were unit clauses appended to
-        the matrix and every universal they may depend on,
-        dep(assumptions), were an existential with an empty dependency
-        set. Returns whether a conflict was derived; the processed
-        literals stay on the trail.
+        the matrix and every universal in `abstracted`, which `probe` and
+        `based` set to dep(assumptions), were an existential with an empty
+        dependency set. Returns whether a conflict was derived; the
+        processed literals stay on the trail.
 
         Existential unit clauses of the matrix are queued in clause order,
         then the assumptions. Processing a literal puts it on the trail and
@@ -282,8 +277,6 @@ class ClauseStore:
         assigned is skipped. A universal assumption lies in its own
         dep, so it is abstracted and assigned like an existential.
         """
-        assumptions = tuple(assumptions)
-        abstracted = dep(self.prefix, assumptions)
         existentials = self.prefix.existentials
         clauses, true = self.clauses, self.true
         queue: deque[int] = deque()
@@ -302,7 +295,7 @@ class ClauseStore:
 
     def _drain(self, queue: deque[int], assumed: frozenset[int],
                abstracted: frozenset[int]) -> bool:
-        # the processing loop of `propagate`: whether the queued literals
+        # the processing loop of `_propagate`: whether the queued literals
         # and the units they imply reach a conflict, processed literals
         # going on the trail; `assumed` holds the assumptions a processed
         # literal may contradict
@@ -335,28 +328,31 @@ class ClauseStore:
             raise ContractViolation("a base is held; only `refutes` may probe")
 
     def probe(self, assumptions: Iterable[int]) -> tuple[bool, list[int]]:
-        """Propagate the assumptions (see `propagate`), then unassign
-        every processed literal: whether the probe conflicted, and the
-        literals it processed in order. Not allowed inside `based`."""
+        """Propagate the assumptions with every universal they may depend
+        on abstracted (see `_propagate`), then unassign every processed
+        literal: whether the probe conflicted, and the literals it
+        processed in order. Not allowed inside `based`."""
         self._unheld()
+        assumptions = tuple(assumptions)
         try:
-            return self.propagate(assumptions), self.trail[:]
+            return (self._propagate(assumptions, dep(self.prefix, assumptions)),
+                    self.trail[:])
         finally:
             self.true.clear()
             self.trail.clear()
 
     @contextmanager
     def based(self, assumptions: Iterable[int]) -> Iterator[None]:
-        """Hold the assumptions as a base inside the block: `refutes`
-        answers assumptions that extend it from its propagation, which
-        runs at the first such call with every universal the base may
-        depend on abstracted and stays on the trail. The trail is empty
-        again when the block is left."""
+        """Hold the assumptions as a base inside the block: they propagate
+        on entry, as `probe` propagates them, and their trail stays on
+        the store, from which `refutes` answers assumptions that extend
+        them. The trail is empty again when the block is left."""
         self._unheld()
         assumptions = tuple(assumptions)
-        self._base = _Base(assumptions, frozenset(assumptions),
-                           dep(self.prefix, assumptions))
+        abstracted = dep(self.prefix, assumptions)
         try:
+            self._base = (frozenset(assumptions), abstracted,
+                          self._propagate(assumptions, abstracted))
             yield
         finally:
             self._base = None
@@ -401,40 +397,32 @@ class ClauseStore:
            monotonicity every derivation from A stays inside T, so none
            is refuting. A conflict is therefore a property of A and the
            abstraction, reached in any order.
-        3. Extending B's trail: B's trail is a derivation from B, hence
-           from A, so a base conflict answers yes. Otherwise B lies in the
-           base assignment, which satisfies the end conditions of point 2
-           for B; an extra literal whose complement is already assigned
-           is a refuting derivation, and every universal of E is
-           abstracted by point 1. Draining E from there visits every
-           clause a new literal falsifies, and a new literal whose
-           complement is in B is never processed, since B is assigned; so
-           the run ends in a refuting derivation from A or in the end
-           conditions of point 2 for A, and answers as a fresh probe does.
+        3. Extending B's trail, which `based` propagated on entry: it is
+           a derivation from B, hence from A, so a base conflict answers
+           yes. Otherwise B lies in the base assignment, which satisfies
+           the end conditions of point 2 for B; an extra literal whose
+           complement is already assigned is a refuting derivation, and
+           every universal of E is abstracted by point 1. Draining E
+           from there visits every clause a new literal falsifies, and a
+           new literal whose complement is in B is never processed, since
+           B is assigned; so the run ends in a refuting derivation from A
+           or in the end conditions of point 2 for A, and answers as a
+           fresh probe does.
         """
-        base = self._base
-        if base is None:
+        if self._base is None:
             return self.probe(assumptions)[0]
+        assumed, abstracted, conflict = self._base
         assumptions = tuple(assumptions)
-        extra = [lit for lit in assumptions if lit not in base.assumed]
-        if (not base.assumed.issubset(assumptions)
-                or not dep(self.prefix, extra) <= base.abstracted):
+        extra = [lit for lit in assumptions if lit not in assumed]
+        if (not assumed.issubset(assumptions)
+                or not dep(self.prefix, extra) <= abstracted):
             raise ContractViolation("the assumptions do not extend the held base")
-        return self._extend(base, extra)
-
-    def _extend(self, base: _Base, extra: list[int]) -> bool:
-        # the conflict answer for the base plus the extra literals, under
-        # the base's abstraction (point 3 of `refutes`)
-        if base.conflict is None:
-            base.conflict = self.propagate(base.assumptions)
-        if base.conflict:
-            return True
         true, trail = self.true, self.trail
-        if any(-lit in true for lit in extra):
+        if conflict or any(-lit in true for lit in extra):
             return True
         mark = len(trail)
         try:
-            return self._drain(deque(extra), frozenset(extra), base.abstracted)
+            return self._drain(deque(extra), frozenset(extra), abstracted)
         finally:
             true.difference_update(trail[mark:])
             del trail[mark:]
@@ -465,7 +453,9 @@ class ClauseStore:
 
 def unit_propagate(formula: Dqbf) -> PropagationOutcome:
     """Run unit propagation with interleaved universal reduction until
-    nothing changes (see `ClauseStore.propagate`).
+    nothing changes (see `ClauseStore.probe`, one of the two places a
+    propagation starts; the other, `ClauseStore.based`, propagates its
+    base on entry).
 
     Satisfied clauses are removed, falsified literals deleted, the
     propagated variables leave the prefix, and every remaining clause is
@@ -495,7 +485,7 @@ def abstract(formula: Dqbf, variables: Iterable[int]) -> Dqbf:
     for v in chosen:
         existentials[v] = frozenset()
     prefix = Prefix(formula.prefix.universals - chosen, existentials)
-    return Dqbf(prefix, formula.matrix)
+    return Dqbf(prefix, Canonical(formula.matrix))
 
 
 def _store_and_clause(scope: Dqbf | ClauseStore,

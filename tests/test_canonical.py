@@ -18,6 +18,7 @@ from dqprep import (CompatibilityError, Dqbf, FuzzBounds, PipelineConfig,
                     run_pipeline, universal_reduce, upla_apply, upla_pass,
                     upla_probe, vivify_pass)
 from dqprep.formula import Canonical
+from dqprep.propagation import abstract
 
 _BOUNDS = FuzzBounds(4, 6, 14, 4)
 
@@ -56,9 +57,12 @@ def test_public_producers_hand_over_canonical_matrices(formula):
     with checking_canonical() as producers:
         parse_dqdimacs(emit_dqdimacs(formula))
         universal_reduce(formula)
+        abstract(formula, formula.prefix.universals)
         for var in sorted(formula.prefix.variables):
             upla_apply(formula, upla_probe(formula, var))
+    # abstracting no universal hands the formula back as it is
     assert producers == Counter(parse_dqdimacs=1, universal_reduce=1,
+                                abstract=int(bool(formula.prefix.universals)),
                                 upla_apply=len(formula.prefix.variables))
 
 

@@ -390,6 +390,45 @@ def test_base_is_taken_back_when_an_exception_leaves_the_block():
     assert store.probe([-2, -3]) == ClauseStore(formula).probe([-2, -3])
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_base_propagates_on_entry(data):
+    # the base's trail is on the store before any `refutes`, as a fresh
+    # probe leaves it; a base that conflicts answers every extension yes
+    # and leaves its trail where it is
+    formula = data.draw(formulas(max_clauses=8))
+    variables = sorted(formula.prefix.variables)
+    if not variables:
+        return
+    literal = st.builds(lambda v, s: v * s, st.sampled_from(variables),
+                        st.sampled_from((1, -1)))
+    base = data.draw(st.lists(literal, max_size=3))
+    conflict, trail = ClauseStore(formula).probe(base)
+    reach = dep(formula.prefix, base)
+    within = [s * v for v in variables for s in (1, -1)
+              if dep(formula.prefix, [v]) <= reach]
+    store = ClauseStore(formula)
+    with store.based(base):
+        assert store.trail == trail and store.true == set(trail)
+        if conflict and within:
+            for extra in data.draw(st.lists(st.lists(st.sampled_from(within),
+                                                     max_size=3), max_size=4)):
+                assert store.refutes(base + extra)
+                assert store.trail == trail
+
+
+def test_conflicting_base_refutes_every_extension():
+    # 1 implies both 2 and -2: the base [1] conflicts as it is taken
+    formula = Dqbf(u_e((), {1: frozenset(), 2: frozenset()}),
+                   ((-1, 2), (-1, -2), (1, 2)))
+    store = ClauseStore(formula)
+    with store.based([1]):
+        assert store.trail == [1, 2] == ClauseStore(formula).probe([1])[1]
+        for extra in ([], [2], [-2], [-1], [2, -1]):
+            assert store.refutes([1] + extra)
+            assert store.trail == [1, 2]
+
+
 def test_default_schedule_outputs_match_golden_hashes():
     # SHA-256 of the emitted DQDIMACS of every output of fuzz(0, 500)
     # under the default schedule, as produced by the scan-based

@@ -513,7 +513,7 @@ def test_dqrat_pass_propagates_each_clause_once_for_its_existential_pivots(
         assert sum(1 for lit in clause if abs(lit) in existentials
                    and sum(-lit in c for c in PIVOTED.matrix) >= 2) >= 2
     counts, examined, pivots = Counter(), set(), []
-    propagate, check, dqat = (ClauseStore.propagate, techniques.dqrat_plus_check,
+    propagate, check, dqat = (ClauseStore._propagate, techniques.dqrat_plus_check,
                               techniques.dqat_check)
 
     def counting_propagate(self, *args):
@@ -534,7 +534,7 @@ def test_dqrat_pass_propagates_each_clause_once_for_its_existential_pivots(
         counts["existential" if pivots[-1] else "universal"] += 1
         return dqat(store, clause)
 
-    monkeypatch.setattr(ClauseStore, "propagate", counting_propagate)
+    monkeypatch.setattr(ClauseStore, "_propagate", counting_propagate)
     monkeypatch.setattr(techniques, "dqrat_plus_check", noting_check)
     monkeypatch.setattr(techniques, "dqat_check", counting_dqat)
     out, report = dqrat_eliminate_pass(PIVOTED)
