@@ -79,18 +79,18 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
         if "_" in line or not line.isascii():
             raise ParseError("'_' and non-ASCII characters are allowed only "
                              "in comments", lineno)
-        head = line.split(None, 1)[0]
+        tokens = line.split()
+        head = tokens[0]
         if head == "p":
             if header is not None:
                 raise ParseError("duplicate 'p cnf' header", lineno)
             if universals or existentials or found or pending:
                 raise ParseError("'p cnf' header must come first", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(
                     "malformed header, expected 'p cnf <max-var> <clauses>'", lineno)
             try:
-                max_var, clause_count = int(parts[2]), int(parts[3])
+                max_var, clause_count = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError("malformed header, counts must be integers", lineno)
             if max_var < 0 or clause_count < 0:
@@ -104,11 +104,10 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
         if head in ("a", "e", "d"):
             if found or pending:
                 raise ParseError("quantifier line after the first clause", lineno)
-            tokens = line.split()[1:]
-            if not tokens or tokens[-1] != "0":
+            if len(tokens) < 2 or tokens[-1] != "0":
                 raise ParseError(f"'{head}' line must end with 0", lineno)
             try:
-                values = [int(t) for t in tokens[:-1]]
+                values = [int(t) for t in tokens[1:-1]]
             except ValueError:
                 raise ParseError(f"bad token on '{head}' line", lineno)
             if any(v < 1 for v in values):
@@ -135,7 +134,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                             f"dependency on non-universal variable {v}", lineno)
                 existentials[values[0]] = frozenset(deps)
             continue
-        for token in line.split():
+        for token in tokens:
             try:
                 value = int(token)
             except ValueError:

@@ -2,7 +2,7 @@
 
 Variables are positive integers following DQDIMACS numbering. A literal
 is a non-zero integer, negative for a negated variable. Clauses are
-duplicate-free tuples sorted by (variable, polarity) so equality is
+tuples sorted by variable, each at most once, so equality is
 structural; a matrix is an ordered, duplicate-free tuple of clauses.
 
 Clauses become canonical once, where they enter the program: in the
@@ -49,14 +49,15 @@ TAUTOLOGY = _TautologyType()
 
 
 def literal_key(literal: Literal) -> tuple[int, bool]:
-    """Canonical literal order: ascending variable, positive first."""
+    """Ascending variable, positive first: plain variable order on a
+    canonical clause, which holds no variable twice."""
     return (abs(literal), literal < 0)
 
 
 def normalize_clause(literals: Iterable[Literal]) -> Clause | _TautologyType:
     """Return the canonical form of a clause.
 
-    Duplicate literals are dropped and the rest sorted by `literal_key`.
+    Duplicate literals are dropped and the rest sorted by variable.
     Returns TAUTOLOGY when both polarities of a variable are present.
     Idempotent on already canonical clauses.
     """
@@ -68,7 +69,7 @@ def normalize_clause(literals: Iterable[Literal]) -> Clause | _TautologyType:
         if -lit in seen:
             return TAUTOLOGY
         seen.add(lit)
-    return tuple(sorted(seen, key=literal_key))
+    return tuple(sorted(seen, key=abs))
 
 
 class Canonical(tuple):

@@ -174,7 +174,7 @@ _prefix_layout = lru_cache(maxsize=1)(_layout)
 
 
 # A verified pass asks for the masks of its input and its output (`up`
-# also for its input plus the derived units), and the next pass's input
+# also for the formula of its derived units), and the next pass's input
 # is this pass's output, so two recent formulas cover every repeat.
 _MASK_MEMO_SIZE = 2
 

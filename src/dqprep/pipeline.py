@@ -77,19 +77,22 @@ def _run_ur(formula: Dqbf) -> tuple[Dqbf, PassReport, None]:
     # the matrix is canonical and over the prefix, so each clause is
     # reduced as it is, without `universal_reduce_clause`'s checks
     report = PassReport("ur")
+    if () in formula.matrix:
+        return formula, report, None
     existentials = formula.prefix.existentials
     reduced = [_reduce(clause, existentials) for clause in formula.matrix]
     report.clauses_shortened = sum(len(shorter) < len(clause) for shorter, clause
                                    in zip(reduced, formula.matrix))
     after = Dqbf(formula.prefix, Canonical(reduced))
     report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
-    if () in after.matrix and () not in formula.matrix:
-        report.conflicts = 1
+    report.conflicts = int(() in after.matrix)
     return after, report, None
 
 
-def _run_up(formula: Dqbf) -> tuple[Dqbf, PassReport, PropagationOutcome]:
+def _run_up(formula: Dqbf) -> tuple[Dqbf, PassReport, PropagationOutcome | None]:
     report = PassReport("up")
+    if () in formula.matrix:
+        return formula, report, None
     outcome = unit_propagate(formula)
     if outcome.conflict:
         report.conflicts = 1
@@ -133,16 +136,16 @@ def _verify_pass(name: str, before: Dqbf, after: Dqbf,
                  outcome: PropagationOutcome | None,
                  config: PipelineConfig) -> bool:
     # whether the oracle checked the application; False if it was skipped
-    # for budget. `ur`, `upla` and `vivify` preserve equivalence; `up`'s
-    # derived units must be implied, and `up` and `dqrat` preserve
+    # for budget. `ur`, `upla` and `vivify` preserve equivalence; `before`
+    # must imply `up`'s derived units, if any, and `up` and `dqrat` preserve
     # satisfiability (after an `up` conflict, `after` is the empty clause
     # over `before`'s prefix). The units are checked first, so the oracle's
     # memo keeps `after`'s mask for the next pass.
     try:
-        if name == "up" and outcome is not None and not outcome.conflict:
+        if name == "up" and outcome is not None and outcome.units:
             units = tuple((u,) for u in sorted(outcome.units, key=literal_key))
-            with_units = Dqbf(before.prefix, Canonical(before.matrix + units))
-            if not oracle.equivalent(before, with_units, config.budget):
+            if not oracle.implies(before, Dqbf(before.prefix, Canonical(units)),
+                                  config.budget):
                 _fail_verification(name, before, after,
                                    "derived units are not implied")
         if name in ("up", "dqrat"):

@@ -503,9 +503,11 @@ def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
 
     The negated clause is injected as unit assumptions, not registered in
     the matrix proper, and their propagation abstracts what they depend
-    on. A positive answer means the clause can be added to (or a present
-    copy deleted from) the matrix without changing the set of Skolem
-    functions. A ClauseStore is probed in place; inside
+    on. A positive answer means the clause can be added to the matrix
+    without changing the set of Skolem functions. The answer is about the
+    matrix as given: a present copy refutes its own negation, so to
+    delete a clause, probe without it (`ClauseStore.hidden`). A
+    ClauseStore is probed in place; inside
     `ClauseStore.based`, the clause's negation must extend the base
     under the same abstraction, and it propagates only what it adds to
     the base.

@@ -30,7 +30,6 @@ refutation is final, rewriting past it only churns.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
@@ -64,7 +63,7 @@ class VivifyResult:
 
 def _sorted(literals: list[int]) -> Clause:
     # literals of a canonical clause, back in canonical order
-    return tuple(sorted(literals, key=literal_key))
+    return tuple(sorted(literals, key=abs))
 
 
 def _literal_order(store: ClauseStore, clause: Clause) -> list[int]:
@@ -276,34 +275,17 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
 def _resolve(canon: Clause, partner: Clause, pivot: int, outer: frozenset[int],
              existential: bool) -> Clause | object:
     # `outer_resolvent` of two canonical clauses, given the pivot's outer
-    # set and whether the pivot is existential. Both parts keep canonical
-    # order, so one merge by variable builds the resolvent: a literal in
-    # both is kept once, and opposite literals make it a tautology.
-    if existential:
-        first: Sequence[int] = canon
-        second = [lit for lit in partner if abs(lit) in outer and lit != -pivot]
-    else:
-        first = [lit for lit in canon if lit != pivot]
-        second = [lit for lit in partner if abs(lit) in outer]
-    merged: list[int] = []
-    i = j = 0
-    while i < len(first) and j < len(second):
-        a, b = first[i], second[j]
-        if abs(a) < abs(b):
-            merged.append(a)
-            i += 1
-        elif abs(b) < abs(a):
-            merged.append(b)
-            j += 1
-        elif a == b:
-            merged.append(a)
-            i += 1
-            j += 1
-        else:
-            return TAUTOLOGY
-    merged += first[i:]
-    merged += second[j:]
-    return tuple(merged)
+    # set and whether the pivot is existential: a literal in both parts
+    # is kept once, and opposite literals make it a tautology
+    kept = set(canon)
+    if not existential:
+        kept.discard(pivot)
+    for lit in partner:
+        if abs(lit) in outer and not (existential and lit == -pivot):
+            if -lit in kept:
+                return TAUTOLOGY
+            kept.add(lit)
+    return tuple(sorted(kept, key=abs))
 
 
 def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) -> bool:
@@ -312,8 +294,11 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     Every clause of the matrix containing the negated pivot contributes
     an outer resolvent; tautological resolvents pass vacuously, every
     other resolvent must fail the addition test, that is, propagating
-    its negation under abstraction must conflict. Raises KernelUndefined
-    for a universal pivot no existential depends on.
+    its negation under abstraction must conflict. The answer is about
+    the matrix as given, as `dqat_check`'s is: to delete the clause,
+    probe without it (`ClauseStore.hidden`), since a present copy can
+    make every resolvent conflict. Raises KernelUndefined for a
+    universal pivot no existential depends on.
     """
     if not isinstance(formula, ClauseStore) and pivot not in clause:
         raise ContractViolation("pivot must occur in the clause")

@@ -10,7 +10,7 @@ from dqprep import (ContractViolation, Dqbf, FuzzBounds, PASS_NAMES,
                     PipelineConfig, Verdict, VerificationError,
                     equisatisfiable, equivalent, fuzz, run_pipeline,
                     solve_brute, universal_reduce_clause)
-from dqprep.pipeline import _run_ur
+from dqprep.pipeline import _apply_pass, _run_ur
 from dqprep.propagation import PropagationOutcome
 from dqprep.reports import PassReport, merge_reports
 
@@ -129,6 +129,25 @@ def test_verification_catches_a_broken_pass_on_a_remembered_mask(
         run_pipeline(config, f)
     assert "vivify pass failed verification" in str(info.value)
     assert kernel_calls == [f.matrix, f.matrix[:-1]]
+
+
+def test_up_unit_check_computes_the_mask_of_the_units_alone(kernel_calls):
+    # before must imply the derived units: the masks are of before, of
+    # the units alone, and of the fixpoint, not of before with the units
+    f = Dqbf(u_e(set(), {1: frozenset(), 2: frozenset()}), ((1,), (-1, 2)))
+    _, _, verdict = run_pipeline(PipelineConfig(passes=("up",), verify=True), f)
+    assert verdict is Verdict.SAT
+    assert kernel_calls == [f.matrix, ((1,), (2,)), ()]
+
+
+@pytest.mark.parametrize("name", PASS_NAMES)
+def test_passes_leave_a_refuted_formula_untouched(name):
+    # `ur` would shorten (1 2), and `up` would count the empty clause it
+    # read as a conflict of its own
+    refuted = Dqbf(u_e({1}, {2: frozenset()}), ((), (1, 2)))
+    after, report, _ = _apply_pass(name, refuted, PipelineConfig())
+    assert after == refuted
+    assert report == PassReport(name)
 
 
 # x1 or x2 over two independent existentials

@@ -332,8 +332,8 @@ _LITERALS = st.builds(lambda var, sign: var * sign, st.integers(1, 8),
 
 @given(st.data())
 def test_resolve_merges_as_normalization_does(data):
-    # the linear merge against normalizing the concatenated parts, on
-    # canonical clauses, any outer set and either kind of pivot
+    # the resolvent built as a set against normalizing the concatenated
+    # parts, on canonical clauses, any outer set and either kind of pivot
     canon = normalize_clause(data.draw(st.lists(_LITERALS, min_size=1, max_size=7)))
     assume(canon is not TAUTOLOGY)
     pivot = data.draw(st.sampled_from(canon))
@@ -363,6 +363,17 @@ def test_dqrat_check_rejects_needed_clause():
     context = Dqbf(flat(2), ((-1, 2), (1, -2), (-1, -2)))
     assert not dqrat_plus_check(context, (1, 2), 1)
     assert not dqrat_plus_check(context, (1, 2), 2)
+
+
+def test_probes_answer_about_the_matrix_as_given():
+    # on H = (x), (-x) a present (x) refutes its own negation, so both
+    # probes accept it, yet deleting it leaves a satisfiable formula;
+    # probed without it, as the passes probe with it hidden, both reject
+    unsat = Dqbf(flat(1), ((1,), (-1,)))
+    assert dqrat_plus_check(unsat, (1,), 1) and dqat_check(unsat, (1,))
+    rest = Dqbf(flat(1), ((-1,),))
+    assert not solve_brute(unsat).satisfiable and solve_brute(rest).satisfiable
+    assert not dqrat_plus_check(rest, (1,), 1) and not dqat_check(rest, (1,))
 
 
 def test_dqrat_check_rejects_tautology_and_bad_pivot():
