@@ -27,10 +27,14 @@ store's prefix, as `Canonical` does a matrix, and checks nothing.
 
 `_unit` decides whether a visited clause is a unit or empty in one scan
 without building the reduced clause; `_reduce` builds it only where it
-is the result. `_reduce` returns the input tuple itself when it drops
-no literal, so a clause already reduced is not copied. Formulas the
-store and the reductions hand back are marked `Canonical`, so `Dqbf`
-does not normalize their clauses again.
+is the result. A clause with three or more existential literals also
+carries a count of those not yet falsified, and a visit that finds two
+or more still left is settled by the count alone, without the scan;
+`ClauseStore.visits` counts such visits too. `_reduce` returns the
+input tuple itself when it drops no literal, so a clause already
+reduced is not copied. Formulas the store and the reductions hand back
+are marked `Canonical`, so `Dqbf` does not normalize their clauses
+again.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ class ClauseStore:
     Propagation starts only in `probe` and `based` and records every
     processed literal on `trail`; `probe` and `outcome` take them back.
     `visits` counts the clauses propagation has examined over the
-    store's lifetime. Inside `based`, the store holds a base
+    store's lifetime, those settled by their counts without a scan
+    included (see `_drain`). Inside `based`, the store holds a base
     (assumptions, propagated on entry, whose trail `refutes` extends)
     and must not be rewritten.
     """
@@ -177,6 +182,11 @@ class ClauseStore:
         # literal: under any abstraction, no other clause can be a unit or
         # empty before propagation starts
         self.seeds: list[int] = []
+        # per clause id, the number of existential literals, capped at
+        # 255 and 0 below three; `live` is the same count less the
+        # literals the running propagation has falsified (see `_drain`)
+        self.width = bytearray()
+        self.live = bytearray()
         self.trail: list[int] = []
         self.true: set[int] = set()
         self.visits = 0
@@ -218,12 +228,13 @@ class ClauseStore:
                 occurrences[lit] = [cid]
             else:
                 ids.append(cid)
-        if self._is_seed(clause):
-            self.seeds.append(cid)
+        self.width.append(0)
+        self._classify(cid, clause)
 
     def delete(self, cid: int) -> None:
         clause = self.clauses[cid]
         self.clauses[cid] = None
+        self.width[cid] = 0
         for lit in clause:
             self.occurrences[lit].remove(cid)
 
@@ -239,14 +250,26 @@ class ClauseStore:
         for lit in old:
             if lit not in clause:
                 self.occurrences[lit].remove(cid)
-        at = bisect_left(self.seeds, cid)
-        if (at == len(self.seeds) or self.seeds[at] != cid) and self._is_seed(clause):
-            self.seeds.insert(at, cid)
+        self._classify(cid, clause)
 
-    def _is_seed(self, clause: Clause) -> bool:
-        # universal reduction leaves at most one literal: `_unit` decides
-        # it under the empty assignment, without building the reduced clause
-        return _unit(clause, _NOTHING, self.prefix.existentials, _NOTHING) is not None
+    def _classify(self, cid: int, clause: Clause) -> None:
+        # set the width of a clause put in place, and list it among the
+        # seeds if universal reduction leaves it at most one literal
+        # (`_unit` under the empty assignment). Reduction keeps every
+        # existential literal, so a clause with two is no seed. A plain
+        # loop counts them: `sum` over a generator costs about three
+        # times as much per clause.
+        existentials = self.prefix.existentials
+        n = 0
+        for lit in clause:
+            if abs(lit) in existentials:
+                n += 1
+        self.width[cid] = min(n, 255) if n > 2 else 0
+        if n < 2 and _unit(clause, _NOTHING, existentials, _NOTHING) is not None:
+            seeds = self.seeds
+            at = bisect_left(seeds, cid)
+            if at == len(seeds) or seeds[at] != cid:
+                seeds.insert(at, cid)
 
     @contextmanager
     def hidden(self, cid: int) -> Iterator[Clause]:
@@ -279,6 +302,7 @@ class ClauseStore:
         """
         existentials = self.prefix.existentials
         clauses, true = self.clauses, self.true
+        self.live = self.width[:]
         queue: deque[int] = deque()
         for cid in self.seeds:
             clause = clauses[cid]
@@ -295,13 +319,43 @@ class ClauseStore:
 
     def _drain(self, queue: deque[int], assumed: frozenset[int],
                abstracted: frozenset[int]) -> bool:
-        # the processing loop of `_propagate`: whether the queued literals
-        # and the units they imply reach a conflict, processed literals
-        # going on the trail; `assumed` holds the assumptions a processed
-        # literal may contradict
+        """The processing loop of `_propagate`: whether the queued
+        literals and the units they imply reach a conflict, processed
+        literals going on the trail; `assumed` holds the assumptions a
+        processed literal may contradict.
+
+        A visit that finds `live[cid]` at 3 or more, before taking one
+        off for the literal just falsified, skips `_unit`, which would
+        return None: the clause is satisfied or keeps two unassigned
+        existential literals. `live` starts as `width` when the
+        propagation starts, from an empty assignment, and loses one on
+        each visit that falsifies an existential literal of a clause of
+        width 3 or more, until it reaches 0. It is a lower bound on the
+        clause's existential literals that are not false, because:
+
+        1. Each variable is processed at most once per propagation (a
+           queued literal whose variable is assigned is skipped), and a
+           canonical clause holds it at most once, so each existential
+           literal of the clause is taken off at most once.
+        2. Abstracted universals are never counted: they are not in
+           `width`, and a processed universal takes nothing off.
+        3. The hidden status of a clause does not change during a
+           propagation: a `hidden` block encloses a whole probe or base,
+           or lies inside a base, where `refutes` pops what it processed
+           before the block ends. So every falsified existential literal
+           of a visible clause was taken off, on the visit its
+           processing made.
+
+        The count is width 255 at most, so a longer clause is only
+        undercounted. With two or more non-false existential literals,
+        the clause holds a true literal, or `_unit` finds two open ones
+        and returns None. The visit is counted in `visits` either way,
+        and nothing is queued, so the trail is the one the scans give.
+        `refutes` restores `live` with the trail.
+        """
         existentials = self.prefix.existentials
         clauses, occurrences = self.clauses, self.occurrences
-        true, trail = self.true, self.trail
+        true, trail, live = self.true, self.trail, self.live
         while queue:
             lit = queue.popleft()
             if lit in true or -lit in true:
@@ -310,11 +364,18 @@ class ClauseStore:
             trail.append(lit)
             if -lit in assumed:
                 return True  # lit falsifies an assumption
+            counted = abs(lit) in existentials
             for cid in occurrences.get(-lit, ()):
                 clause = clauses[cid]
                 if clause is None:
                     continue
                 self.visits += 1
+                if counted:
+                    left = live[cid]
+                    if left:
+                        live[cid] = left - 1
+                        if left > 2:
+                            continue
                 unit = _unit(clause, true, existentials, abstracted)
                 if unit == 0:
                     return True
@@ -367,7 +428,8 @@ class ClauseStore:
         it: contain B, with their other literals E depending only on
         universals B may depend on; any other A is a ContractViolation.
         A is answered from B's trail: E is checked against it, only E and
-        what it implies are processed, and the trail is popped back to B's.
+        what it implies are processed, and the trail is popped back to B's,
+        the counts of `_drain` with it.
         The answer is the one a fresh probe of A gives:
 
         1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
@@ -420,12 +482,14 @@ class ClauseStore:
         true, trail = self.true, self.trail
         if conflict or any(-lit in true for lit in extra):
             return True
-        mark = len(trail)
+        mark, live = len(trail), self.live
+        self.live = live[:]
         try:
             return self._drain(deque(extra), frozenset(extra), abstracted)
         finally:
             true.difference_update(trail[mark:])
             del trail[mark:]
+            self.live = live
 
     def outcome(self) -> PropagationOutcome:
         """Probe the matrix alone and report the fixpoint formula:

@@ -26,6 +26,15 @@ def test_fuzz_verify_agrees_with_the_oracle():
     assert "all verdicts agree with the oracle" in run.stdout
 
 
+def test_fuzz_verify_agrees_with_the_oracle_on_wide_clauses():
+    # clauses of up to six literals: wide enough that propagation settles
+    # visits by its counts of non-false existential literals
+    run = run_script("fuzz_verify.py", "--count", "300", "--seed", "7",
+                     "--max-clause-width", "6", "--max-existentials", "6")
+    assert run.returncode == 0, run.stderr
+    assert "all verdicts agree with the oracle" in run.stdout
+
+
 def test_pass_stats_reports_every_pass():
     run = run_script("pass_stats.py", "--count", "100")
     assert run.returncode == 0, run.stderr

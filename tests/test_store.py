@@ -16,13 +16,19 @@ from hypothesis import strategies as st
 from dqprep import (ContractViolation, Dqbf, FuzzBounds, KernelUndefined,
                     PipelineConfig, Prefix, dep, dqrat_plus_check,
                     emit_dqdimacs, fuzz, normalize_clause, run_pipeline)
+from dqprep import propagation
 from dqprep.propagation import ClauseStore, abstract
-from conftest import chain, formulas, u_e
+from conftest import chain, counting_calls, formulas, u_e
 from reference_propagation import scan_unit_propagate
 
 GOLDEN = Path(__file__).with_name("golden_fuzz_0_500.json")
 BOUNDS = (FuzzBounds(), FuzzBounds(max_universals=3, max_existentials=6,
                                    max_clauses=16, max_clause_width=3))
+# clauses of up to six literals: many keep three or more existential
+# literals through several falsifications, so the counts of `_drain`
+# both settle visits and run down to scans
+WIDE = FuzzBounds(max_universals=2, max_existentials=8, max_clauses=24,
+                  max_clause_width=6)
 
 
 @st.composite
@@ -102,6 +108,40 @@ def test_fuzz_stream_matches_scan_reference():
         abstracted = frozenset(u for u in formula.prefix.universals
                                if rng.random() < 0.5)
         assert_matches_scan_reference(formula, assumptions, abstracted)
+
+
+def test_wide_clause_stream_matches_scan_reference():
+    rng = random.Random(5)
+    for formula in fuzz(7, 800, WIDE):
+        variables = sorted(formula.prefix.variables)
+        if not variables:
+            continue
+        assumptions = [rng.choice(variables) * rng.choice((1, -1))
+                       for _ in range(rng.randint(0, 4))]
+        abstracted = frozenset(u for u in formula.prefix.universals
+                               if rng.random() < 0.5)
+        assert_matches_scan_reference(formula, assumptions, abstracted)
+
+
+def test_wide_clause_visit_skips_the_scan():
+    # falsifying 3 leaves three existential literals of (1, 3, 4, 5, 6),
+    # the universal 1 not counted: the count settles the visit without
+    # `_unit`. Falsifying 3, 4 and 5 scans on the third visit only, which
+    # finds the unit 6 (1 is not in deps(6)), and on the visit of the
+    # binary (-6, 7).
+    prefix = u_e({1}, {3: frozenset(), 4: frozenset(), 5: frozenset(),
+                       6: frozenset(), 7: frozenset({1})})
+    formula = Dqbf(prefix, ((1, 3, 4, 5, 6), (-6, 7)))
+    for assumptions, trail, visits, scans in (
+            ([-3], [-3], 1, 0),
+            ([-3, -4, -5], [-3, -4, -5, 6, 7], 4, 2)):
+        store, scan = ClauseStore(formula), ClauseStore(formula)
+        scan.width[:] = bytes(len(scan.width))  # every visit scans
+        with counting_calls(propagation._unit) as (calls, _):
+            assert store.probe(assumptions) == (False, trail)
+            assert len(calls) == scans
+            assert scan.probe(assumptions) == (False, trail)
+        assert store.visits == scan.visits == visits
 
 
 def test_steps_follow_fifo_order():
@@ -370,6 +410,99 @@ def test_refutation_inside_a_base_matches_on_fuzz_stream():
             extras.append([rng.choice(pool) for _ in range(rng.randint(1, 3))])
         seen |= base_cases(formula, cid, base, extras)
     assert seen == {"reused", "complement", "base conflict", "refused"}
+
+
+def test_refutation_inside_a_base_matches_on_wide_clause_stream():
+    # four extensions per base, each answered after the one before it
+    # popped its trail, so counts it failed to restore show in the next
+    rng = random.Random(11)
+    seen = set()
+    for formula in fuzz(43, 1000, WIDE):
+        variables = sorted(formula.prefix.variables)
+        if not variables:
+            continue
+        cid = rng.randrange(len(formula.matrix)) if formula.matrix else None
+        base = [rng.choice(variables) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 3))]
+        pools = literal_pools(formula, base)
+        extras = [[rng.choice(pool) for _ in range(rng.randint(1, 3))]
+                  for pool in (rng.choice(pools) for _ in range(4))]
+        seen |= base_cases(formula, cid, base, extras)
+    assert seen == {"reused", "complement", "base conflict", "refused"}
+
+
+def test_refutes_restores_the_counts_of_its_base():
+    # the base -1 leaves three existential literals of (1, 2, 3, 4) and
+    # -2 two; after -2 is popped, -2 and -3 must find the unit 4, which
+    # conflicts. Counts left at the clause's width would settle both
+    # visits and miss it.
+    formula = Dqbf(u_e((), {v: frozenset() for v in range(1, 6)}),
+                   ((1, 2, 3, 4), (-4, 5), (-4, -5)))
+    assert base_cases(formula, None, [-1], [[-2], [-2, -3]]) == {"reused"}
+    assert ClauseStore(formula).probe([-1, -2, -3])[0]
+
+
+def recounted(store: ClauseStore) -> bytearray:
+    # `width` as its definition gives it, from the clauses alone
+    exist = store.prefix.existentials
+    counts = [0 if c is None else sum(abs(l) in exist for l in c)
+              for c in store.clauses]
+    return bytearray(min(n, 255) if n > 2 else 0 for n in counts)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_width_follows_every_rewrite_and_probe(data):
+    formula = next(fuzz(data.draw(st.integers(0, 2 ** 32 - 1)), 1, WIDE))
+    variables = sorted(formula.prefix.variables)
+    if not variables:
+        return
+    literal = st.builds(lambda v, s: v * s, st.sampled_from(variables),
+                        st.sampled_from((1, -1)))
+    store = ClauseStore(formula)
+    for _ in range(data.draw(st.integers(1, 6))):
+        present = [cid for cid, c in enumerate(store.clauses) if c is not None]
+        action = data.draw(st.sampled_from(
+            ("shorten", "append", "delete", "probe", "based")))
+        if action == "append":
+            clause = normalize_clause(data.draw(st.lists(literal, max_size=6)))
+            if isinstance(clause, tuple):
+                store.append(clause)
+        elif action in ("shorten", "delete") and present:
+            cid = data.draw(st.sampled_from(present))
+            old = store.clauses[cid]
+            if action == "delete" or not old:
+                store.delete(cid)
+            else:
+                store.shorten(cid, normalize_clause(data.draw(st.lists(
+                    st.sampled_from(old), unique=True, max_size=len(old) - 1))))
+        elif action == "probe":
+            store.probe(data.draw(st.lists(literal, max_size=4)))
+        elif action == "based":
+            cid = (data.draw(st.none() | st.sampled_from(present))
+                   if present else None)
+            base = data.draw(st.lists(literal, max_size=3))
+            reach = dep(formula.prefix, base)
+            fail = data.draw(st.booleans())
+            try:
+                with nullcontext() if cid is None else store.hidden(cid), \
+                        store.based(base):
+                    for extra in data.draw(st.lists(
+                            st.lists(literal, max_size=3), max_size=4)):
+                        counts = store.live[:]
+                        if dep(formula.prefix, extra) <= reach:
+                            store.refutes(base + extra)
+                        else:
+                            with pytest.raises(ContractViolation):
+                                store.refutes(base + extra)
+                        assert store.live == counts
+                    if fail:
+                        raise KeyError(cid)
+            except KeyError:
+                assert fail
+            assert store.trail == [] and store.true == set()
+        assert store.width == recounted(store)
+    assert store.probe(()) == ClauseStore(store.formula()).probe(())
 
 
 def test_base_is_taken_back_when_an_exception_leaves_the_block():
