@@ -5,7 +5,9 @@ Runs the full pipeline over a stream of random formulas and checks
 every verdict against the brute-force oracle: SAT/UNSAT verdicts must
 match the oracle exactly, UNKNOWN outputs must be equi-satisfiable
 with their inputs. Instances whose candidate space exceeds the oracle
-budget are counted and skipped, never judged.
+budget are counted and skipped, never judged. Each formula first goes
+through its DQDIMACS text, emitted and parsed back, which must give
+the same formula; the pipeline runs on the parsed one.
 
 Example:
     python3 scripts/fuzz_verify.py --count 2000 --seed 11
@@ -16,8 +18,9 @@ import argparse
 import sys
 import time
 
-from dqprep import (BudgetError, PipelineConfig, Verdict, equisatisfiable,
-                    fuzz, run_pipeline, solve_brute)
+from dqprep import (BudgetError, PipelineConfig, Verdict, emit_dqdimacs,
+                    equisatisfiable, fuzz, parse_dqdimacs, run_pipeline,
+                    solve_brute)
 from dqprep.cli import add_fuzz_arguments, fuzz_bounds
 
 
@@ -36,6 +39,12 @@ def main(argv=None):
     start = time.perf_counter()
     formulas = fuzz(args.seed, args.count, fuzz_bounds(args))
     for index, formula in enumerate(formulas):
+        parsed = parse_dqdimacs(emit_dqdimacs(formula))
+        if parsed.formula != formula or parsed.diagnostics:
+            mismatches += 1
+            print(f"instance {index}: DQDIMACS round trip changed the formula",
+                  file=sys.stderr)
+        formula = parsed.formula
         out, _, verdict = run_pipeline(config, formula)
         counts[verdict] += 1
         try:
@@ -56,9 +65,10 @@ def main(argv=None):
     print(f"sat={counts[Verdict.SAT]} unsat={counts[Verdict.UNSAT]} "
           f"unknown={counts[Verdict.UNKNOWN]} skipped={skipped}")
     if mismatches:
-        print(f"FAIL: {mismatches} oracle mismatches", file=sys.stderr)
+        print(f"FAIL: {mismatches} oracle or round-trip mismatches",
+              file=sys.stderr)
         return 1
-    print("all verdicts agree with the oracle")
+    print("all round trips agree and all verdicts agree with the oracle")
     return 0
 
 

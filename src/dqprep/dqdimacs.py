@@ -25,6 +25,18 @@ duplicate literals and clauses are merged silently. A line
 ends at LF, CRLF or CR, the newlines ``open()`` translates; other line
 breaks such as form feed or U+2028 are ordinary characters. Output
 always uses LF.
+
+Two tight loops take the runs of lines that make up almost all of a
+real file. Before the first clause, one takes each ``d`` line whose
+variable is in range and not yet declared and whose dependencies are
+all universal. After the first clause, the other takes each line that
+holds exactly one clause: its last token is ``0``, no other token is
+zero, and its variables are declared and distinct (no duplicate
+literal, no tautology). Either loop reads only text that passes the
+``_``/ASCII rule, and stops at the first line it cannot take with
+nothing of that line committed. The per-line code then handles that
+line, and the loops start again on the next one, so every result,
+diagnostic and error is the one the per-line code alone would give.
 """
 
 from __future__ import annotations
@@ -63,16 +75,34 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     header_line = 0
     universals: dict[int, None] = {}
     existentials: dict[int, frozenset[int]] = {}
+    declared: frozenset[int] = frozenset()
     kept: list[Clause] = []
     found = 0
     pending: list[int] = []
     pending_line = 0
     first_use: dict[int, int] = {}
+    # a fast loop may read a line with int() only if it holds no '_' and
+    # no non-ASCII character; tested once here, or per line if this fails
+    clean = text.isascii() and "_" not in text
 
-    # lines end at LF, CRLF and CR only; the list of them is not bound to
-    # a name, so it is freed when the loop ends
-    for lineno, raw in enumerate(
-            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+    # lines end at LF, CRLF and CR only
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    index, end = 0, len(lines)
+    while index < end:
+        if header is not None and not pending:
+            if found:
+                start = index
+                index = _take_clauses(lines, index, clean, declared, kept)
+                found += index - start
+            else:
+                index = _take_d_lines(lines, index, clean, header[0],
+                                      universals, existentials)
+            if index == end:
+                break
+        # the line no fast loop takes
+        raw = lines[index]
+        index += 1
+        lineno = index
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -134,6 +164,9 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                             f"dependency on non-universal variable {v}", lineno)
                 existentials[values[0]] = frozenset(deps)
             continue
+        if not found and not pending:
+            # the first clause line: the declarations are complete
+            declared = frozenset(universals).union(existentials)
         for token in tokens:
             try:
                 value = int(token)
@@ -158,6 +191,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                 if not pending:
                     pending_line = lineno
                 pending.append(value)
+    del lines
     if header is None:
         raise ParseError("missing 'p cnf' header", 1)
     if pending:
@@ -172,9 +206,64 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
         diagnostics.append(ParseDiagnostic(
             header_line, f"header declares {header[1]} clauses, found {found}"))
     diagnostics += tautologies
-    # every clause is normalized and every variable declared by now
-    formula = Dqbf(Prefix(frozenset(universals), existentials), Canonical(kept))
-    return ParseResult(formula, tuple(diagnostics))
+    # every clause is normalized and every variable declared by now, and
+    # each part of the prefix was checked on the line that declared it
+    prefix = Prefix._trusted(frozenset(universals),
+                             {y: existentials[y] for y in sorted(existentials)})
+    return ParseResult(Dqbf(prefix, Canonical(kept)), tuple(diagnostics))
+
+
+def _take_clauses(lines: list[str], index: int, clean: bool,
+                  declared: frozenset[int], kept: list[Clause]) -> int:
+    """Append the clause of each line from `index` on that holds exactly
+    one clause: it ends in the token ``0``, has no other zero and no
+    variable twice, and uses only declared variables. Return the index
+    of the first line that is not such a line; nothing of it is taken."""
+    for index in range(index, len(lines)):
+        raw = lines[index]
+        tokens = raw.split()
+        if (not tokens or tokens.pop() != "0"
+                or not (clean or raw.isascii() and "_" not in raw)):
+            return index
+        try:
+            literals = list(map(int, tokens))
+        except ValueError:
+            return index
+        variables = set(map(abs, literals))
+        # 0 is never declared; a repeated literal or a tautology repeats
+        # a variable
+        if len(variables) != len(literals) or not variables <= declared:
+            return index
+        literals.sort(key=abs)
+        kept.append(tuple(literals))
+    return len(lines)
+
+
+def _take_d_lines(lines: list[str], index: int, clean: bool, max_var: int,
+                  universals: dict[int, None],
+                  existentials: dict[int, frozenset[int]]) -> int:
+    """Declare the existential of each line from `index` on that is a
+    ``d`` line ending in the token ``0`` whose variable is in range and
+    not yet declared and whose dependencies are all universal. Return
+    the index of the first line that is not such a line; nothing of it
+    is taken."""
+    universal = frozenset(universals)
+    for index in range(index, len(lines)):
+        raw = lines[index]
+        tokens = raw.split()
+        if (len(tokens) < 3 or tokens[0] != "d" or tokens.pop() != "0"
+                or not (clean or raw.isascii() and "_" not in raw)):
+            return index
+        try:
+            var = int(tokens[1])
+            deps = frozenset(map(int, tokens[2:]))
+        except ValueError:
+            return index
+        if (not 0 < var <= max_var or var in universal
+                or var in existentials or not deps <= universal):
+            return index
+        existentials[var] = deps
+    return len(lines)
 
 
 def emit_dqdimacs(formula: Dqbf) -> str:

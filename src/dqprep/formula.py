@@ -13,7 +13,9 @@ builds from clauses that are already canonical (pass results, the
 propagation fixpoint, the parser's output) are marked `Canonical`:
 every clause is a canonical, non-tautological clause over the prefix
 it is paired with, so `Dqbf` only drops repeated clauses, keeping the
-first occurrence, and skips the rest.
+first occurrence, and skips the rest. Prefixes are likewise validated
+where they enter, and `Prefix._trusted` builds the few the package
+makes from parts it has already validated.
 
 All values are immutable once constructed and safe to share between
 threads; every operation returns a new value.
@@ -88,6 +90,11 @@ class Prefix:
 
     Dependencies are explicit sets of universal variables, so the prefix
     carries no ordering. Universals and existentials must be disjoint.
+    Construction converts and checks every part, and stores the
+    existentials in ascending order. The parser and the propagation
+    fixpoint, whose parts are already valid, build theirs through the
+    private `_trusted`, which skips that work, as `Canonical` does for
+    matrices.
     """
 
     universals: frozenset[int] = frozenset()
@@ -115,6 +122,19 @@ class Prefix:
         object.__setattr__(self, "universals", universals)
         object.__setattr__(self, "existentials", existentials)
         object.__setattr__(self, "variables", universals | frozenset(existentials))
+
+    @classmethod
+    def _trusted(cls, universals: frozenset[int],
+                 existentials: dict[int, frozenset[int]]) -> Prefix:
+        """The prefix of parts the caller has already validated: positive
+        ints, universals and existentials disjoint, every dependency set
+        a frozenset of universals, and the existentials' keys ascending.
+        Internal, like `Canonical`: nothing is checked or copied."""
+        prefix = object.__new__(cls)
+        object.__setattr__(prefix, "universals", universals)
+        object.__setattr__(prefix, "existentials", existentials)
+        object.__setattr__(prefix, "variables", universals.union(existentials))
+        return prefix
 
     def __contains__(self, var: int) -> bool:
         return var in self.universals or var in self.existentials

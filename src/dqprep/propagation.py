@@ -501,9 +501,10 @@ class ClauseStore:
             return PropagationOutcome(True, steps=len(trail))
         true = frozenset(trail)
         exist = self.prefix.existentials
-        prefix = Prefix(self.prefix.universals,
-                        {y: deps for y, deps in exist.items()
-                         if y not in true and -y not in true})
+        # a subset of a valid prefix, in its order
+        prefix = Prefix._trusted(self.prefix.universals,
+                                 {y: deps for y, deps in exist.items()
+                                  if y not in true and -y not in true})
         # subsequences of canonical clauses over the unassigned variables;
         # a clause without a falsified literal is reduced as it is
         survivors = Canonical(

@@ -57,8 +57,11 @@ def checking_canonical() -> Iterator[Counter]:
     """Inside the block, check every Dqbf built from a matrix marked
     `Canonical` against a fully validated construction from the same
     clauses: they must be equal, so every marked clause was already
-    canonical, non-tautological and over the prefix. Yields how many
-    such formulas each producer (the function calling `Dqbf`) built."""
+    canonical, non-tautological and over the prefix. Its prefix, which
+    may come from the trusted `Prefix._trusted`, must equal a validated
+    `Prefix` of the same parts, with its existentials in the same order
+    and of the same types. Yields how many such formulas each producer
+    (the function calling `Dqbf`) built."""
     producers: Counter = Counter()
     init = Dqbf.__post_init__
 
@@ -70,6 +73,13 @@ def checking_canonical() -> Iterator[Counter]:
             producer = sys._getframe(2).f_code.co_name
             producers[producer] += 1
             assert type(self.matrix) is tuple
+            prefix = self.prefix
+            validated = Prefix(prefix.universals, prefix.existentials)
+            assert prefix == validated and prefix.variables == validated.variables
+            assert list(prefix.existentials) == list(validated.existentials)
+            assert type(prefix.universals) is frozenset
+            assert all(type(var) is int and type(deps) is frozenset
+                       for var, deps in prefix.existentials.items())
             assert self == Dqbf(self.prefix, tuple(matrix)), (
                 f"{producer} marked a matrix canonical that is not: {matrix}")
 

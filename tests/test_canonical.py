@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given
 
 from conftest import chain, checking_canonical, counting_calls, formulas
-from dqprep import (CompatibilityError, Dqbf, FuzzBounds, PipelineConfig,
-                    Prefix, Verdict, dqrat_eliminate_pass, emit_dqdimacs, fuzz,
-                    is_compatible, normalize_clause, parse_dqdimacs,
-                    run_pipeline, universal_reduce, upla_apply, upla_pass,
-                    upla_probe, vivify_pass)
+from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
+                    PipelineConfig, Prefix, Verdict, dqrat_eliminate_pass,
+                    emit_dqdimacs, fuzz, is_compatible, normalize_clause,
+                    parse_dqdimacs, run_pipeline, universal_reduce,
+                    upla_apply, upla_pass, upla_probe, vivify_pass)
 from dqprep.formula import Canonical
 from dqprep.propagation import abstract
 
@@ -73,6 +73,21 @@ def test_checker_rejects_a_matrix_that_is_not_canonical():
             Dqbf(prefix, Canonical(matrix))
     with checking_canonical(), pytest.raises(CompatibilityError):
         Dqbf(prefix, Canonical(((1, 3),)))
+
+
+def test_checker_rejects_a_trusted_prefix_that_is_not_valid():
+    matrix = Canonical(((1, 2),))
+    for universals, existentials in (
+            (frozenset({1}), {3: frozenset(), 2: frozenset({1})}),   # order
+            (frozenset({1}), {2: {1}}),                               # a set
+            (frozenset({1}), {2: frozenset({1, 4})}),                 # stray
+            ({1}, {2: frozenset({1})})):                              # a set
+        prefix = Prefix._trusted(universals, existentials)
+        with (checking_canonical(),
+              pytest.raises((AssertionError, ContractViolation))):
+            Dqbf(prefix, matrix)
+    with checking_canonical():
+        Dqbf(Prefix._trusted(frozenset({1}), {2: frozenset({1})}), matrix)
 
 
 def test_pipeline_normalizes_no_clause_of_a_parsed_formula():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import checking_canonical, formulas
-from dqprep import Dqbf, ParseError, Prefix, emit_dqdimacs, parse_dqdimacs
+from conftest import checking_canonical, counting_calls, formulas
+from dqprep import (Dqbf, ParseError, ParseResult, Prefix, emit_dqdimacs,
+                    normalize_clause, parse_dqdimacs)
 from reference_dqdimacs import reference_parse_dqdimacs
 
 EXAMPLE = """\
@@ -294,3 +295,140 @@ def test_d_line_reports_redeclaration_before_a_non_universal_dependency():
     assert parse_or_error(reference_parse_dqdimacs, text) == expected
     with pytest.raises(ParseError, match="^line 3: variable 5 redeclared$"):
         parse_dqdimacs(text)
+
+
+# -- the fast loops and their fallback ---------------------------------------
+#
+# Runs of `d` lines and of one-clause lines are taken by tight loops; a
+# line they cannot take goes to the per-line code. These tests inject
+# such lines into well-formed files and require the reference's result,
+# diagnostics and errors.
+
+
+@st.composite
+def well_formed_lines(draw) -> tuple[int, list[str]]:
+    """The header bound and the lines of a file in the emitter's shape:
+    header, `a` line, one `d` line per existential, one clause per line.
+    The bound may exceed the declared variables."""
+    n_universal = draw(st.integers(0, 3))
+    n_existential = draw(st.integers(1, 8))
+    declared = n_universal + n_existential
+    max_var = declared + draw(st.integers(0, 2))
+    universals = list(range(1, n_universal + 1))
+    lines = [f"p cnf {max_var} {draw(st.integers(0, 30))}"]
+    if universals:
+        lines.append(" ".join(["a", *map(str, universals), "0"]))
+    for var in range(n_universal + 1, declared + 1):
+        deps = draw(st.lists(st.sampled_from(universals), max_size=3)) if universals else []
+        lines.append(" ".join(["d", str(var), *map(str, deps), "0"]))
+    for _ in range(draw(st.integers(0, 30))):
+        variables = draw(st.lists(st.integers(1, declared), unique=True, max_size=4))
+        lits = [v * draw(st.sampled_from((1, -1))) for v in variables]
+        lines.append(" ".join([*map(str, lits), "0"]))
+    return max_var, lines
+
+
+IRREGULAR = (
+    "c a comment {a} 0", "c 1_0 and ٣ in a comment", "c", "",
+    "   ", "\t \x0c", "{a} 0 {b} 0", "{a} {b}", "{a}", "{a} -0", "-0",
+    "{a} +0 {b} 0", "00", "{a} 00", "+{v} {b} 0", "{a} {a} 0",
+    "{v} -{v} 0", "{big} 0", "-{big} {a} 0", "d {v} 0", "d {v} {v} 0",
+    "a {v} 0", "e {v} 0", "{a} x 0", "{a}_0 0", " {a}  {b}  0 ",
+)
+
+
+@st.composite
+def irregular_texts(draw) -> str:
+    """A well-formed file with irregular lines injected at random
+    positions, every line ended by LF, CRLF or CR."""
+    max_var, lines = draw(well_formed_lines())
+    variable = st.integers(1, max_var + 1)
+    literal = st.builds(lambda v, s: v * s, variable, st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.sampled_from(IRREGULAR)).format(
+            a=draw(literal), b=draw(literal), v=draw(variable), big=max_var + 1)
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    endings = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")),
+                            min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@given(irregular_texts())
+def test_fast_loops_fall_back_to_the_reference_on_irregular_lines(text):
+    with checking_canonical():
+        assert (parse_or_error(parse_dqdimacs, text)
+                == parse_or_error(reference_parse_dqdimacs, text))
+
+
+def long_text(tail: list[str]) -> str:
+    """Lines 3 to 1,102 are `d` lines over universals 1 and 2, and lines
+    1,103 to 2,202 one clause each; `tail` follows from line 2,203. The
+    header bound leaves variable 1,103 free."""
+    lines = ["p cnf 1103 1100", "a 1 2 0"]
+    lines += [f"d {var} {var % 3} 0" if var % 3 else f"d {var} 0"
+              for var in range(3, 1103)]
+    lines += [f"{-var} {3 + (var + 500) % 1100} {var % 2 + 1} 0"
+              for var in range(3, 1103)]
+    return "\n".join(lines + tail) + "\n"
+
+
+def count_warning(found: int) -> tuple[int, str]:
+    return 1, f"header declares 1100 clauses, found {found}"
+
+
+@pytest.mark.parametrize("tail, expected", [
+    (["5 -5 0"], [count_warning(1101), (2203, "tautological clause dropped")]),
+    (["4 1103 0", "-1103 0"], [
+        (2203, "free variable 1103 treated as existential with no dependencies"),
+        count_warning(1102)]),
+    (["4 -0 5 0"], [count_warning(1102)]),
+    (["c x_\u0663", "4 0 5", "0 6 0"], [count_warning(1103)]),
+    (["1104 0"], (2203, "variable 1104 exceeds header bound")),
+    (["4 5 x 0"], (2203, "bad token 'x'")),
+    (["4 5_0 0"], (2203, "'_' and non-ASCII characters are allowed only in comments")),
+    (["e 1103 0"], (2203, "quantifier line after the first clause")),
+    (["4 5"], (2203, "unterminated clause at end of input")),
+])
+def test_fast_loops_hand_a_late_line_to_the_per_line_code(tail, expected):
+    text = long_text(tail)
+    result = parse_or_error(parse_dqdimacs, text)
+    assert result == parse_or_error(reference_parse_dqdimacs, text)
+    if isinstance(result, ParseResult):
+        assert [(d.line, d.message) for d in result.diagnostics] == expected
+    else:
+        assert result == expected
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("d 7 0", (1103, "variable 7 redeclared")),
+    ("d 1103 1102 0", (1103, "dependency on non-universal variable 1102")),
+    ("d 1104 0", (1103, "variable 1104 exceeds header bound")),
+    ("d 1103 0 1 0", (1103, "quantifier lines expect positive variables")),
+])
+def test_a_late_d_line_gets_the_per_line_error(line, expected):
+    lines = long_text([]).split("\n")
+    text = "\n".join(lines[:1102] + [line] + lines[1102:])
+    assert parse_or_error(parse_dqdimacs, text) == expected
+    assert parse_or_error(reference_parse_dqdimacs, text) == expected
+
+
+def test_well_formed_text_is_parsed_by_the_fast_loops(monkeypatch):
+    # the first clause line takes the per-line code; every other line is
+    # taken by a fast loop, and the prefix as it is
+    text = long_text([])
+    prefix_inits = []
+    init = Prefix.__post_init__
+
+    def counting_init(self):
+        prefix_inits.append(self)
+        init(self)
+
+    monkeypatch.setattr(Prefix, "__post_init__", counting_init)
+    with counting_calls(normalize_clause) as (calls, modules):
+        parsed = parse_dqdimacs(text)
+    assert "dqprep.dqdimacs" in modules
+    assert len(calls) <= 1 and prefix_inits == []
+    assert parsed.diagnostics == ()
+    assert len(parsed.formula.prefix.existentials) == 1100
+    assert len(parsed.formula.matrix) == 1100
+    assert parsed == reference_parse_dqdimacs(text)

@@ -59,3 +59,17 @@ def test_pass_stats_table():
         "   dqrat      10      10       13        0       0       0      0",
     ]
     assert all(re.fullmatch(r"\d+\.\d{3}", line.split()[-1]) for line in lines[2:])
+
+
+def test_fuzz_verify_counts_a_round_trip_mismatch(monkeypatch, capsys):
+    # a parser that adds the empty clause to every text changes every
+    # formula on its way through DQDIMACS
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fuzz_verify
+    parse = fuzz_verify.parse_dqdimacs
+    monkeypatch.setattr(fuzz_verify, "parse_dqdimacs",
+                        lambda text: parse(text + "0\n"))
+    assert fuzz_verify.main(["--count", "5", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("DQDIMACS round trip changed the formula") == 5
+    assert "FAIL: 5 oracle or round-trip mismatches" in err
