@@ -7,7 +7,9 @@ match the oracle exactly, UNKNOWN outputs must be equi-satisfiable
 with their inputs. Instances whose candidate space exceeds the oracle
 budget are counted and skipped, never judged. Each formula first goes
 through its DQDIMACS text, emitted and parsed back, which must give
-the same formula; the pipeline runs on the parsed one.
+the same formula; the pipeline runs on the parsed one. The same text
+rendered irregularly (see `irregular`) must parse to the same formula
+too.
 
 Example:
     python3 scripts/fuzz_verify.py --count 2000 --seed 11
@@ -30,6 +32,22 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def irregular(text):
+    """The emitted DQDIMACS `text` in a shape the parser must read line by
+    line: a comment holding '_' and a non-ASCII digit after the header,
+    CRLF line ends, the first clause split before its 0, and the clause
+    after it on the line where the first one ends."""
+    lines = text.splitlines()
+    first = next((i for i, line in enumerate(lines) if line[0] not in "pade"),
+                 len(lines))
+    if first < len(lines):
+        *literals, _ = lines[first].split()
+        lines[first:first + 2] = [" ".join(literals),
+                                  " ".join(["0", *lines[first + 1:first + 2]])]
+    lines.insert(1, "c made_by fuzz_verify \u0663")
+    return "\r\n".join(lines) + "\r\n"
+
+
 def main(argv=None):
     args = parse_args(argv)
     config = PipelineConfig(passes=args.passes)
@@ -39,12 +57,13 @@ def main(argv=None):
     start = time.perf_counter()
     formulas = fuzz(args.seed, args.count, fuzz_bounds(args))
     for index, formula in enumerate(formulas):
-        parsed = parse_dqdimacs(emit_dqdimacs(formula))
-        if parsed.formula != formula or parsed.diagnostics:
+        text = emit_dqdimacs(formula)
+        parsed = [parse_dqdimacs(text), parse_dqdimacs(irregular(text))]
+        if any(p.formula != formula or p.diagnostics for p in parsed):
             mismatches += 1
             print(f"instance {index}: DQDIMACS round trip changed the formula",
                   file=sys.stderr)
-        formula = parsed.formula
+        formula = parsed[0].formula
         out, _, verdict = run_pipeline(config, formula)
         counts[verdict] += 1
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
@@ -122,13 +123,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> bool:
-    """Write the text to a file; on failure say why and return False."""
+def _write(path: str | None, text: str) -> bool:
+    """Write the text to a file, or to standard output if `path` is None;
+    on failure say why and return False."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if path is None:
+            # line by line: one large write that a closed pipe cuts short
+            # can return without an error, the write after it cannot
+            sys.stdout.writelines(text.splitlines(keepends=True))
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        print(f"dqprep: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        name = "<stdout>" if path is None else path
+        print(f"dqprep: cannot write {name}: {exc.strerror}", file=sys.stderr)
+        if path is None and sys.stdout is sys.__stdout__:
+            # the unwritten rest would fail again when the interpreter
+            # flushes stdout at exit; it goes to the null device instead
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return False
     return True
 
@@ -195,9 +210,7 @@ def _run_file(args: argparse.Namespace, config: PipelineConfig) -> int:
               f"{diagnostic.severity}: {diagnostic.message}", file=sys.stderr)
     result, reports, verdict = run_pipeline(config, parsed.formula)
     output = emit_dqdimacs(result)
-    if args.out is None:
-        sys.stdout.write(output)
-    elif not _write(args.out, output):
+    if not _write(args.out, output):
         return EXIT_USAGE
     stats: dict[str, object] = {
         "verdict": verdict.value,

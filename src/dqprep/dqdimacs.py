@@ -26,16 +26,13 @@ ends at LF, CRLF or CR, the newlines ``open()`` translates; other line
 breaks such as form feed or U+2028 are ordinary characters. Output
 always uses LF.
 
-Two tight loops take the runs of lines that make up almost all of a
-real file. Before the first clause, one takes each ``d`` line whose
-variable is in range and not yet declared and whose dependencies are
-all universal. After the first clause, the other takes each line that
-holds exactly one clause: its last token is ``0``, no other token is
-zero, and its variables are declared and distinct (no duplicate
-literal, no tautology). Either loop reads only text that passes the
-``_``/ASCII rule, and stops at the first line it cannot take with
-nothing of that line committed. The per-line code then handles that
-line, and the loops start again on the next one, so every result,
+One loop reads the lines. Two line shapes make up almost all of a real
+file, and each is taken whole at the top of the loop: before the first
+clause, a ``d`` line whose variable is in range and not yet declared and
+whose dependencies are all universal; after it, a line that holds
+exactly one clause over declared, distinct variables. Both are read
+only where the ``_``/ASCII rule holds. Any other line falls through,
+with nothing of it committed, to the per-line code, so every result,
 diagnostic and error is the one the per-line code alone would give.
 """
 
@@ -73,7 +70,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     tautologies: list[ParseDiagnostic] = []
     header: tuple[int, int] | None = None
     header_line = 0
-    universals: dict[int, None] = {}
+    universals: set[int] = set()
     existentials: dict[int, frozenset[int]] = {}
     declared: frozenset[int] = frozenset()
     kept: list[Clause] = []
@@ -81,28 +78,42 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     pending: list[int] = []
     pending_line = 0
     first_use: dict[int, int] = {}
-    # a fast loop may read a line with int() only if it holds no '_' and
+    # a fast form may read a line with int() only if it holds no '_' and
     # no non-ASCII character; tested once here, or per line if this fails
     clean = text.isascii() and "_" not in text
 
     # lines end at LF, CRLF and CR only
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    index, end = 0, len(lines)
-    while index < end:
-        if header is not None and not pending:
+    for lineno, raw in enumerate(
+            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        if (header is not None and not pending
+                and (clean or raw.isascii() and "_" not in raw)):
+            tokens = raw.split()
             if found:
-                start = index
-                index = _take_clauses(lines, index, clean, declared, kept)
-                found += index - start
-            else:
-                index = _take_d_lines(lines, index, clean, header[0],
-                                      universals, existentials)
-            if index == end:
-                break
-        # the line no fast loop takes
-        raw = lines[index]
-        index += 1
-        lineno = index
+                # exactly one clause: its last token is the only zero,
+                # and its variables are declared and distinct (0 is never
+                # declared; a repeated literal or a tautology repeats one)
+                if tokens and tokens.pop() == "0":
+                    try:
+                        literals = list(map(int, tokens))
+                    except ValueError:
+                        literals = [0]  # falls through
+                    variables = set(map(abs, literals))
+                    if len(variables) == len(literals) and variables <= declared:
+                        literals.sort(key=abs)
+                        kept.append(tuple(literals))
+                        found += 1
+                        continue
+            elif len(tokens) > 2 and tokens[0] == "d" and tokens.pop() == "0":
+                # a new existential in range with universal dependencies
+                try:
+                    var = int(tokens[1])
+                    deps = frozenset(map(int, tokens[2:]))
+                except ValueError:
+                    var = 0  # falls through
+                if (0 < var <= max_var and var not in universals
+                        and var not in existentials and deps <= universals):
+                    existentials[var] = deps
+                    continue
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -130,7 +141,6 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
             continue
         if header is None:
             raise ParseError("missing 'p cnf' header", lineno)
-        max_var = header[0]
         if head in ("a", "e", "d"):
             if found or pending:
                 raise ParseError("quantifier line after the first clause", lineno)
@@ -154,7 +164,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                 if var in universals or var in existentials:
                     raise ParseError(f"variable {var} redeclared", lineno)
                 if head == "a":
-                    universals[var] = None
+                    universals.add(var)
                 elif head == "e":
                     existentials[var] = frozenset(universals)
             if head == "d":
@@ -186,12 +196,11 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                 if var > max_var:
                     raise ParseError(f"variable {var} exceeds header bound", lineno)
                 # declarations precede clauses, so an undeclared variable is free
-                if var not in existentials and var not in universals:
+                if var not in declared:
                     first_use.setdefault(var, lineno)
                 if not pending:
                     pending_line = lineno
                 pending.append(value)
-    del lines
     if header is None:
         raise ParseError("missing 'p cnf' header", 1)
     if pending:
@@ -211,59 +220,6 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     prefix = Prefix._trusted(frozenset(universals),
                              {y: existentials[y] for y in sorted(existentials)})
     return ParseResult(Dqbf(prefix, Canonical(kept)), tuple(diagnostics))
-
-
-def _take_clauses(lines: list[str], index: int, clean: bool,
-                  declared: frozenset[int], kept: list[Clause]) -> int:
-    """Append the clause of each line from `index` on that holds exactly
-    one clause: it ends in the token ``0``, has no other zero and no
-    variable twice, and uses only declared variables. Return the index
-    of the first line that is not such a line; nothing of it is taken."""
-    for index in range(index, len(lines)):
-        raw = lines[index]
-        tokens = raw.split()
-        if (not tokens or tokens.pop() != "0"
-                or not (clean or raw.isascii() and "_" not in raw)):
-            return index
-        try:
-            literals = list(map(int, tokens))
-        except ValueError:
-            return index
-        variables = set(map(abs, literals))
-        # 0 is never declared; a repeated literal or a tautology repeats
-        # a variable
-        if len(variables) != len(literals) or not variables <= declared:
-            return index
-        literals.sort(key=abs)
-        kept.append(tuple(literals))
-    return len(lines)
-
-
-def _take_d_lines(lines: list[str], index: int, clean: bool, max_var: int,
-                  universals: dict[int, None],
-                  existentials: dict[int, frozenset[int]]) -> int:
-    """Declare the existential of each line from `index` on that is a
-    ``d`` line ending in the token ``0`` whose variable is in range and
-    not yet declared and whose dependencies are all universal. Return
-    the index of the first line that is not such a line; nothing of it
-    is taken."""
-    universal = frozenset(universals)
-    for index in range(index, len(lines)):
-        raw = lines[index]
-        tokens = raw.split()
-        if (len(tokens) < 3 or tokens[0] != "d" or tokens.pop() != "0"
-                or not (clean or raw.isascii() and "_" not in raw)):
-            return index
-        try:
-            var = int(tokens[1])
-            deps = frozenset(map(int, tokens[2:]))
-        except ValueError:
-            return index
-        if (not 0 < var <= max_var or var in universal
-                or var in existentials or not deps <= universal):
-            return index
-        existentials[var] = deps
-    return len(lines)
 
 
 def emit_dqdimacs(formula: Dqbf) -> str:

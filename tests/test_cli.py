@@ -1,5 +1,6 @@
 """End-to-end checks of the dqprep command line."""
 
+import errno
 import io
 import json
 import os
@@ -274,6 +275,37 @@ def test_stats_json_path_that_cannot_be_written(tmp_path, capsys, fuzz):
     assert code == 1
     assert f"dqprep: cannot write {target}: No such file or directory" in err
     assert not target.parent.exists()
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_that_cannot_be_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main([write(tmp_path, UNSAT_TEXT)])
+    err = capsys.readouterr().err
+    assert code == 1
+    # no stats follow the message
+    assert err == "dqprep: cannot write <stdout>: No space left on device\n"
+
+
+def test_stdout_pipe_closed_by_its_reader(tmp_path):
+    # an output of about 470 KiB, far more than a pipe buffer holds
+    lines = ["p cnf 40001 1", "a 1 0", *(f"d {v} 1 0" for v in range(2, 40002)),
+             "1 2 0"]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.Popen([sys.executable, "-m", "dqprep", "--passes", "ur", path],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           env=env)
+    assert len(run.stdout.read(10)) == 10
+    run.stdout.close()
+    err = run.stderr.read().decode()
+    assert run.wait(timeout=60) == 1
+    assert err == "dqprep: cannot write <stdout>: Broken pipe\n"
 
 
 def test_diagnostics_are_forwarded(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Parser and emitter for the DQDIMACS exchange format."""
 
 import io
+import time
 
 import pytest
 from hypothesis import given
@@ -299,10 +300,10 @@ def test_d_line_reports_redeclaration_before_a_non_universal_dependency():
 
 # -- the fast loops and their fallback ---------------------------------------
 #
-# Runs of `d` lines and of one-clause lines are taken by tight loops; a
-# line they cannot take goes to the per-line code. These tests inject
-# such lines into well-formed files and require the reference's result,
-# diagnostics and errors.
+# Well-formed `d` lines and one-clause lines are taken whole by fast
+# forms; a line they cannot take falls through to the per-line code.
+# These tests inject such lines into well-formed files and require the
+# reference's result, diagnostics and errors.
 
 
 @st.composite
@@ -412,10 +413,10 @@ def test_a_late_d_line_gets_the_per_line_error(line, expected):
     assert parse_or_error(reference_parse_dqdimacs, text) == expected
 
 
-def test_well_formed_text_is_parsed_by_the_fast_loops(monkeypatch):
-    # the first clause line takes the per-line code; every other line is
-    # taken by a fast loop, and the prefix as it is
-    text = long_text([])
+def parse_counting(monkeypatch, text: str) -> ParseResult:
+    """Parse the text and require that at most one clause was normalized
+    and no prefix validated: every line but the first clause line was
+    taken by a fast form, and the prefix as it is."""
     prefix_inits = []
     init = Prefix.__post_init__
 
@@ -428,7 +429,32 @@ def test_well_formed_text_is_parsed_by_the_fast_loops(monkeypatch):
         parsed = parse_dqdimacs(text)
     assert "dqprep.dqdimacs" in modules
     assert len(calls) <= 1 and prefix_inits == []
+    return parsed
+
+
+def test_well_formed_text_is_parsed_by_the_fast_loops(monkeypatch):
+    # the first clause line takes the per-line code; every other line is
+    # taken by a fast loop, and the prefix as it is
+    text = long_text([])
+    parsed = parse_counting(monkeypatch, text)
     assert parsed.diagnostics == ()
     assert len(parsed.formula.prefix.existentials) == 1100
     assert len(parsed.formula.matrix) == 1100
     assert parsed == reference_parse_dqdimacs(text)
+
+
+def test_fast_forms_read_text_with_an_underscore_in_a_comment(monkeypatch):
+    # the '_' and the non-ASCII digit rule out the one test of the whole
+    # text; the fast forms then test each line, and still take them all
+    text = "c made_by_gen ٣\n" + long_text([])
+    assert parse_counting(monkeypatch, text) == reference_parse_dqdimacs(text)
+
+
+def test_a_long_a_line_parses_in_linear_time():
+    universals = " ".join(map(str, range(1, 100_001)))
+    text = f"p cnf 100001 1\na {universals} 0\nd 100001 1 2 0\n1 100001 0\n"
+    start = time.perf_counter()
+    parsed = parse_dqdimacs(text)
+    assert time.perf_counter() - start < 5
+    assert parsed.formula.prefix.existentials[100_001] == {1, 2}
+    assert parsed.formula.matrix == ((1, 100_001),)

@@ -73,3 +73,18 @@ def test_fuzz_verify_counts_a_round_trip_mismatch(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("DQDIMACS round trip changed the formula") == 5
     assert "FAIL: 5 oracle or round-trip mismatches" in err
+
+
+def test_fuzz_verify_counts_a_mismatch_of_the_irregular_rendering(monkeypatch,
+                                                                  capsys):
+    # a parser that adds the empty clause to CRLF text changes only the
+    # irregular rendering of each formula, which is counted once
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fuzz_verify
+    parse = fuzz_verify.parse_dqdimacs
+    monkeypatch.setattr(fuzz_verify, "parse_dqdimacs",
+                        lambda text: parse(text + "0\n" if "\r\n" in text else text))
+    assert fuzz_verify.main(["--count", "5", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("DQDIMACS round trip changed the formula") == 5
+    assert "FAIL: 5 oracle or round-trip mismatches" in err
