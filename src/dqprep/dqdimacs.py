@@ -159,14 +159,16 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                 if not values:
                     raise ParseError("'d' line expects a variable", lineno)
                 values, deps = values[:1], values[1:]
-            # a redeclared variable is reported before a bad dependency
+            # a redeclared variable is reported before a bad dependency;
+            # the variables of an `e` line share one dependency set
+            inherited = frozenset(universals) if head == "e" else None
             for var in values:
                 if var in universals or var in existentials:
                     raise ParseError(f"variable {var} redeclared", lineno)
                 if head == "a":
                     universals.add(var)
                 elif head == "e":
-                    existentials[var] = frozenset(universals)
+                    existentials[var] = inherited
             if head == "d":
                 for v in deps:
                     if v not in universals:

@@ -18,9 +18,11 @@ can skip oversized instances without ever misreporting a verdict.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import BudgetError, ContractViolation
 from .formula import Clause, Dqbf
@@ -136,8 +138,7 @@ def is_skolem(formula: Dqbf, candidate: SkolemTuple) -> bool:
 # It is built from one mask per table bit, kept in one bounded LRU.
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     variable: int
     domain: tuple[int, ...]
     offset: int
@@ -145,8 +146,7 @@ class _Entry:
     domain_bits: tuple[int, ...]  # bit index of each domain variable
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(NamedTuple):
     universals: tuple[int, ...]
     uindex: Mapping[int, int]
     entries: tuple[_Entry, ...]
@@ -195,10 +195,21 @@ def _bit_mask(total_bits: int, position: int) -> int:
     return mask
 
 
-def _satisfying_mask(formula: Dqbf, limit: int) -> tuple[int, _Layout]:
+# The masks of the formulas seen last, computed or derived, least recent
+# first, each as (hash, key, (mask, layout)), so a key is hashed once per
+# lookup. The lock keeps the list whole when threads share it.
+_masks: list[tuple[int, tuple, tuple[int, _Layout]]] = []
+_masks_lock = threading.Lock()
+
+
+def _satisfying_mask(formula: Dqbf, limit: int,
+                     implied: tuple[tuple[Clause, ...], int] | None = None
+                     ) -> tuple[int, _Layout]:
     """The set of satisfying candidate tuples and the layout that numbers
     them. The budget is checked on every call; a formula's mask is only
-    computed and remembered once the check passed."""
+    computed and remembered once the check passed. `implied` may give
+    the matrix and mask of a formula over the same prefix to derive the
+    mask from (see `_derived_mask`)."""
     prefix = formula.prefix
     dependencies = tuple(prefix.existentials.items())
     total_bits = sum(1 << len(deps) for _, deps in dependencies)
@@ -208,15 +219,49 @@ def _satisfying_mask(formula: Dqbf, limit: int) -> tuple[int, _Layout]:
     if len(prefix.universals) > limit:
         raise BudgetError(
             f"{len(prefix.universals)} universals exceed the 2**{limit} budget")
-    return _remembered_mask(prefix.universals, dependencies, formula.matrix)
+    key = (prefix.universals, dependencies, formula.matrix)
+    hashed = hash(key)
+    with _masks_lock:
+        for index, (other, other_key, found) in enumerate(_masks):
+            if other == hashed and other_key == key:
+                _masks.append(_masks.pop(index))
+                return found
+    layout = _prefix_layout(prefix.universals, dependencies)
+    mask = implied and _derived_mask(layout, *implied, formula.matrix)
+    if mask is None:
+        mask = _mask_kernel(layout, formula.matrix)
+    with _masks_lock:
+        _masks[:] = [e for e in _masks if e[0] != hashed or e[1] != key]
+        _masks.append((hashed, key, (mask, layout)))
+        del _masks[:-_MASK_MEMO_SIZE]
+    return mask, layout
 
 
-@lru_cache(maxsize=_MASK_MEMO_SIZE)
-def _remembered_mask(universals: frozenset[int],
-                     dependencies: tuple[tuple[int, frozenset[int]], ...],
-                     matrix: tuple[Clause, ...]) -> tuple[int, _Layout]:
-    layout = _prefix_layout(universals, dependencies)
-    return _mask_kernel(layout, matrix), layout
+def _derived_mask(layout: _Layout, first: tuple[Clause, ...], first_mask: int,
+                  matrix: tuple[Clause, ...]) -> int | None:
+    # The mask of `matrix` from the mask of `first`, over the same
+    # prefix, if each clause `first` has and `matrix` lacks contains a
+    # clause of `matrix`; None otherwise. Then `matrix` implies every
+    # clause of `first`, so its Skolem tuples are those of `first` that
+    # satisfy the clauses `matrix` adds: M(S) = M(F) & M(S - F). A
+    # subset of a canonical clause begins with one of its literals, so
+    # the clauses of `matrix` are looked up by their first (0 if empty).
+    kept = set(matrix)
+    by_first: dict[int, list[Clause]] = {}
+    for clause in matrix:
+        by_first.setdefault(clause[0] if clause else 0, []).append(clause)
+    for clause in first:
+        if clause in kept:
+            continue
+        literals = set(clause)
+        if not any(literals.issuperset(subset)
+                   for lit in (0, *clause) for subset in by_first.get(lit, ())):
+            return None
+    known = set(first)
+    added = [clause for clause in matrix if clause not in known]
+    if not (first_mask and added):
+        return first_mask
+    return first_mask & _mask_kernel(layout, added)
 
 
 def _mask_kernel(layout: _Layout, matrix: Sequence[Clause]) -> int:
@@ -310,7 +355,7 @@ def equivalent(first: Dqbf, second: Dqbf, limit: int = DEFAULT_BUDGET) -> bool:
     if first.prefix != second.prefix:
         raise ContractViolation("equivalence needs identical prefixes")
     mask_a, _ = _satisfying_mask(first, limit)
-    mask_b, _ = _satisfying_mask(second, limit)
+    mask_b, _ = _satisfying_mask(second, limit, (first.matrix, mask_a))
     return mask_a == mask_b
 
 

@@ -140,7 +140,10 @@ def _verify_pass(name: str, before: Dqbf, after: Dqbf,
     # must imply `up`'s derived units, if any, and `up` and `dqrat` preserve
     # satisfiability (after an `up` conflict, `after` is the empty clause
     # over `before`'s prefix). The units are checked first, so the oracle's
-    # memo keeps `after`'s mask for the next pass.
+    # memo keeps `after`'s mask for the next pass. `equivalent` derives
+    # that mask from `before`'s and the clauses the pass added when every
+    # clause it removed contains one of `after`'s, as for `ur`, `upla`
+    # and `vivify`; a dropped clause gets `after`'s mask computed in full.
     try:
         if name == "up" and outcome is not None and outcome.units:
             units = tuple((u,) for u in sorted(outcome.units, key=literal_key))

@@ -38,8 +38,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Matrices whose satisfying mask the oracle computes from here on,
-    starting with an empty memo."""
+    """The clauses the oracle runs its mask kernel on from here on, one
+    entry per call: a whole matrix, or the clauses a matrix adds to one
+    whose mask it derives the new mask from. The memo starts empty."""
     calls = []
     kernel = oracle._mask_kernel
 
@@ -48,7 +49,7 @@ def kernel_calls(monkeypatch):
         return kernel(layout, matrix)
 
     monkeypatch.setattr(oracle, "_mask_kernel", counting_kernel)
-    oracle._remembered_mask.cache_clear()
+    oracle._masks.clear()
     return calls
 
 

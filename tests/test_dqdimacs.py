@@ -2,6 +2,7 @@
 
 import io
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -458,3 +459,32 @@ def test_a_long_a_line_parses_in_linear_time():
     assert time.perf_counter() - start < 5
     assert parsed.formula.prefix.existentials[100_001] == {1, 2}
     assert parsed.formula.matrix == ((1, 100_001),)
+
+
+def test_a_long_e_line_parses_in_linear_time_and_memory():
+    # every variable of an `e` line depends on every universal declared
+    # before it: one dependency set for the line, not one per variable.
+    # Time is the best of five runs, and its doubling ratio is taken over
+    # the whole range, as single runs of a few milliseconds are noisy
+    times, peaks = [], []
+    for n in (1000, 2000, 4000):
+        universals = " ".join(map(str, range(1, n + 1)))
+        existentials = " ".join(map(str, range(n + 1, 2 * n + 1)))
+        text = (f"p cnf {2 * n} 1\na {universals} 0\ne {existentials} 0\n"
+                f"1 {2 * n} 0\n")
+        elapsed = []
+        for _ in range(5):
+            start = time.perf_counter()
+            parsed = parse_dqdimacs(text)
+            elapsed.append(time.perf_counter() - start)
+        times.append(min(elapsed))
+        tracemalloc.start()
+        try:
+            parse_dqdimacs(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert parsed.formula.prefix.existentials[2 * n] == set(range(1, n + 1))
+        assert len(parsed.formula.prefix.existentials) == n
+    assert (times[-1] / times[0]) ** 0.5 <= 2.5, times
+    assert max(b / a for a, b in zip(peaks, peaks[1:])) <= 2.5, peaks

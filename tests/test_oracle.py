@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas, in_oracle_budget, oracle_bits, u_e
@@ -359,7 +359,7 @@ def test_nothing_is_remembered_over_budget(kernel_calls):
     psi = Dqbf(u_e({1}, {2: frozenset({1})}), ((1, 2),))
     with pytest.raises(BudgetError):
         solve_brute(psi, 1)
-    assert oracle._remembered_mask.cache_info().currsize == 0
+    assert oracle._masks == []
     assert kernel_calls == []
 
 
@@ -385,11 +385,103 @@ def test_equal_formulas_share_one_mask(kernel_calls):
     assert len(kernel_calls) == 1
 
 
+def _edited(formula, rng):
+    """`formula` after one to four random edits: a clause shortened to a
+    subset (possibly empty, possibly equal to another clause), a clause
+    appended, a clause deleted, or a clause repeated."""
+    variables = sorted(formula.prefix.variables)
+    matrix = list(formula.matrix)
+    for _ in range(rng.randint(1, 4)):
+        edit = rng.choice(("shorten", "append", "delete", "repeat"))
+        if edit == "append" and variables:
+            clause = normalize_clause(
+                rng.choice(variables) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 3)))
+            if clause is not TAUTOLOGY:
+                matrix.insert(rng.randint(0, len(matrix)), clause)
+        elif edit == "shorten" and matrix:
+            index = rng.randrange(len(matrix))
+            matrix[index] = tuple(
+                lit for lit in matrix[index] if rng.random() < 0.6)
+        elif edit == "delete" and matrix:
+            del matrix[rng.randrange(len(matrix))]
+        elif matrix:
+            matrix.append(rng.choice(matrix))
+    return Dqbf(formula.prefix, tuple(matrix))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.randoms())
+def test_derived_masks_match_the_reference(seed, rng):
+    first = next(fuzz(seed, 1, LARGER))
+    assume(in_oracle_budget(first))
+    second = _edited(first, rng)
+    oracle._masks.clear()
+    assert equivalent(first, second) == (
+        reference_satisfying_mask(first) == reference_satisfying_mask(second))
+    # remembered by `equivalent`, derived from `first`'s mask if it could be
+    assert _mask(second) == reference_satisfying_mask(second)
+
+
+def test_each_route_to_a_mask_is_taken_on_edited_formulas(kernel_calls):
+    rng = random.Random(3)
+    seen = Counter()
+    for first in fuzz(5, 2000, LARGER):
+        if not in_oracle_budget(first):
+            continue
+        second = _edited(first, rng)
+        oracle._masks.clear()
+        kernel_calls.clear()
+        same = equivalent(first, second)
+        expected = reference_satisfying_mask(second)
+        assert same == (reference_satisfying_mask(first) == expected)
+        assert _mask(second) == expected
+        later = kernel_calls[1:]
+        if second.matrix == first.matrix:
+            route = "same matrix"
+        elif later == [second.matrix]:
+            route = "computed in full"
+        elif later:
+            route = "derived from the added clauses"
+        else:
+            route = "derived with no kernel call"
+        seen[route, same] += 1
+    # a derived mask with no kernel call is that of `first`
+    assert set(seen) == {("same matrix", True),
+                         ("derived with no kernel call", True),
+                         ("derived from the added clauses", True),
+                         ("derived from the added clauses", False),
+                         ("computed in full", True),
+                         ("computed in full", False)}, seen
+    assert min(seen.values()) >= 5, seen
+
+
+def test_shortening_a_clause_runs_the_kernel_on_the_new_clause_only(
+        kernel_calls):
+    # universal reduction of (1 2), as `ur` does it: 2 does not see 1
+    f = Dqbf(u_e({1}, {2: frozenset(), 3: frozenset({1})}),
+             ((1, 2), (-2, 3), (-1, 3)))
+    reduced = Dqbf(f.prefix, ((2,), (-2, 3), (-1, 3)))
+    assert equivalent(f, reduced)
+    assert kernel_calls == [f.matrix, [(2,)]]
+    # the derived mask is remembered for the next check
+    assert _mask(reduced) == reference_satisfying_mask(reduced) != 0
+    assert kernel_calls == [f.matrix, [(2,)]]
+
+
+def test_a_derived_mask_of_an_unsatisfiable_formula_needs_no_kernel_call(
+        kernel_calls):
+    f = Dqbf(u_e({1}, {2: frozenset(), 3: frozenset()}),
+             ((1, 3), (2,), (-2,)))
+    reduced = Dqbf(f.prefix, ((3,), (2,), (-2,)))
+    assert equivalent(f, reduced)
+    assert kernel_calls == [f.matrix]
+
+
 def test_table_bit_masks_are_kept_for_the_last_formulas_only():
     # n = 10 ... 20 independent existentials and one clause over all of
     # them: candidate spaces of 2**10 ... 2**20 tuples, each kernel call
     # asking for every table bit of its width
-    oracle._remembered_mask.cache_clear()
+    oracle._masks.clear()
     oracle._bit_mask.cache_clear()
     for n in range(10, 21):
         psi = Dqbf(u_e(set(), {v: frozenset() for v in range(1, n + 1)}),

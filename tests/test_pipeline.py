@@ -131,6 +131,16 @@ def test_verification_catches_a_broken_pass_on_a_remembered_mask(
     assert kernel_calls == [f.matrix, f.matrix[:-1]]
 
 
+def test_ur_check_runs_the_kernel_on_the_reduced_clause_only(kernel_calls):
+    # the output's mask is the input's, restricted by the clause `ur` made
+    f = Dqbf(u_e({1}, {2: frozenset(), 3: frozenset({1})}),
+             ((1, 2), (-2, 3), (-1, 3)))
+    config = PipelineConfig(passes=("ur",), verify=True)
+    after, _, _ = run_pipeline(config, f)
+    assert after.matrix == ((2,), (-2, 3), (-1, 3))
+    assert kernel_calls == [f.matrix, [(2,)]]
+
+
 def test_up_unit_check_computes_the_mask_of_the_units_alone(kernel_calls):
     # before must imply the derived units: the masks are of before, of
     # the units alone, and of the fixpoint, not of before with the units
