@@ -11,18 +11,26 @@ the same formula; the pipeline runs on the parsed one. The same text
 rendered irregularly (see `irregular`) must parse to the same formula
 too.
 
+As many formulas again come from `unsat_by_dependency`, a family that
+is unsatisfiable only because of a dependency set: random formulas are
+almost never unsatisfiable when they reach `dqrat`, so only this family
+shows an unsound clause deletion. It takes `--seed` and `--passes` but
+not the bounds.
+
 Example:
     python3 scripts/fuzz_verify.py --count 2000 --seed 11
     python3 scripts/fuzz_verify.py --count 500 --passes ur,up,vivify
 """
 
 import argparse
+import random
 import sys
 import time
+from collections import Counter
 
-from dqprep import (BudgetError, PipelineConfig, Verdict, emit_dqdimacs,
-                    equisatisfiable, fuzz, parse_dqdimacs, run_pipeline,
-                    solve_brute)
+from dqprep import (BudgetError, Dqbf, PipelineConfig, Prefix, Verdict,
+                    emit_dqdimacs, equisatisfiable, fuzz, parse_dqdimacs,
+                    run_pipeline, solve_brute)
 from dqprep.cli import add_fuzz_arguments, fuzz_bounds
 
 
@@ -48,11 +56,68 @@ def irregular(text):
     return "\r\n".join(lines) + "\r\n"
 
 
+def unsat_by_dependency(seed, count):
+    """`count` formulas that are unsatisfiable because of a dependency
+    set. A chain of Tseitin XOR gates combines 2 or 3 universals, each
+    gate an existential that depends on the universals it combines, and
+    the existential y equals the last gate or its negation: so y must
+    vary with every universal, but deps(y) misses one. Up to 3 noise
+    clauses of 1 to 3 random literals go in among the gate clauses."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inputs = list(range(1, rng.randint(2, 3) + 1))
+        rng.shuffle(inputs)
+        existentials = {}
+        clauses = []
+        last = inputs[0]
+        for index, universal in enumerate(inputs[1:], 2):
+            gate = len(inputs) + len(existentials) + 1
+            existentials[gate] = frozenset(inputs[:index])
+            clauses += [(-gate, last, universal), (-gate, -last, -universal),
+                        (gate, -last, universal), (gate, last, -universal)]
+            last = gate
+        y = last + 1
+        existentials[y] = frozenset(inputs) - {rng.choice(inputs)}
+        last *= rng.choice((1, -1))
+        clauses += [(-y, last), (y, -last)]
+        for _ in range(rng.randint(0, 3)):
+            noise = [rng.randint(1, y) * rng.choice((1, -1))
+                     for _ in range(rng.randint(1, 3))]
+            clauses.insert(rng.randint(0, len(clauses)), noise)
+        # Dqbf drops a tautological noise clause and merges repeats
+        yield Dqbf(Prefix(frozenset(inputs), existentials), tuple(clauses))
+
+
+def judge(config, formula, counts):
+    """Run the pipeline on `formula` and count its verdict in `counts`:
+    how the verdict contradicts the oracle, or None. A formula beyond
+    the oracle budget is counted as skipped."""
+    out, _, verdict = run_pipeline(config, formula)
+    counts[verdict] += 1
+    try:
+        satisfiable = solve_brute(formula).satisfiable
+    except BudgetError:
+        counts["skipped"] += 1
+        return None
+    if verdict is Verdict.SAT and not satisfiable:
+        return "SAT verdict on unsatisfiable input"
+    if verdict is Verdict.UNSAT and satisfiable:
+        return "UNSAT verdict on satisfiable input"
+    if verdict is Verdict.UNKNOWN and not equisatisfiable(formula, out):
+        return "UNKNOWN output not equi-satisfiable"
+    return None
+
+
+def summary(counts):
+    return (f"sat={counts[Verdict.SAT]} unsat={counts[Verdict.UNSAT]} "
+            f"unknown={counts[Verdict.UNKNOWN]} skipped={counts['skipped']}")
+
+
 def main(argv=None):
     args = parse_args(argv)
     config = PipelineConfig(passes=args.passes)
-    counts = {Verdict.SAT: 0, Verdict.UNSAT: 0, Verdict.UNKNOWN: 0}
-    skipped = 0
+    counts = Counter()
+    family_counts = Counter()
     mismatches = 0
     start = time.perf_counter()
     formulas = fuzz(args.seed, args.count, fuzz_bounds(args))
@@ -63,26 +128,20 @@ def main(argv=None):
             mismatches += 1
             print(f"instance {index}: DQDIMACS round trip changed the formula",
                   file=sys.stderr)
-        formula = parsed[0].formula
-        out, _, verdict = run_pipeline(config, formula)
-        counts[verdict] += 1
-        try:
-            satisfiable = solve_brute(formula).satisfiable
-            if verdict is Verdict.SAT and not satisfiable:
-                raise AssertionError("SAT verdict on unsatisfiable input")
-            if verdict is Verdict.UNSAT and satisfiable:
-                raise AssertionError("UNSAT verdict on satisfiable input")
-            if verdict is Verdict.UNKNOWN and not equisatisfiable(formula, out):
-                raise AssertionError("UNKNOWN output not equi-satisfiable")
-        except BudgetError:
-            skipped += 1
-        except AssertionError as exc:
+        error = judge(config, parsed[0].formula, counts)
+        if error:
             mismatches += 1
-            print(f"instance {index}: {exc}", file=sys.stderr)
+            print(f"instance {index}: {error}", file=sys.stderr)
+    for index, formula in enumerate(unsat_by_dependency(args.seed, args.count)):
+        error = judge(config, formula, family_counts)
+        if error:
+            mismatches += 1
+            print(f"unsat-by-dependency instance {index}: {error}",
+                  file=sys.stderr)
     elapsed = time.perf_counter() - start
     print(f"formulas={args.count} seed={args.seed} elapsed={elapsed:.2f}s")
-    print(f"sat={counts[Verdict.SAT]} unsat={counts[Verdict.UNSAT]} "
-          f"unknown={counts[Verdict.UNKNOWN]} skipped={skipped}")
+    print(summary(counts))
+    print(f"unsat-by-dependency: {summary(family_counts)}")
     if mismatches:
         print(f"FAIL: {mismatches} oracle or round-trip mismatches",
               file=sys.stderr)

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import fields
 
 from . import oracle
@@ -60,6 +60,18 @@ def _pass_list(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+def _checked(check: Callable[[int], object]) -> Callable[[str], int]:
+    # an argparse type for an int that `check` accepts: the
+    # ContractViolation it raises on a value becomes a usage error
+    def integer(text: str) -> int:
+        try:
+            check(int(text))
+        except ContractViolation as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return int(text)
+    return integer
+
+
 def add_fuzz_arguments(
         parser: argparse.ArgumentParser, count: str = "--count",
         count_default: int | None = 1000,
@@ -68,9 +80,10 @@ def add_fuzz_arguments(
     """Declare the arguments of a run over `fuzz` formulas: their number
     (under the flag `count`), `--seed`, `--passes` (parsed into a tuple
     of names, all of them by default) and, if `bounds`, one flag per
-    `FuzzBounds` field with its default; `fuzz_bounds` reads those."""
-    parser.add_argument(count, type=int, default=count_default, metavar="N",
-                        help=count_help)
+    `FuzzBounds` field with its default; `fuzz_bounds` reads those. A
+    negative count or a value `FuzzBounds` rejects is a usage error."""
+    parser.add_argument(count, type=_checked(lambda n: fuzz(0, n)),
+                        default=count_default, metavar="N", help=count_help)
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="random seed of the formulas (default 0)")
     parser.add_argument("--passes", type=_pass_list, default=",".join(PASS_NAMES),
@@ -79,7 +92,8 @@ def add_fuzz_arguments(
                              f"{{{','.join(PASS_NAMES)}}} (default: all)")
     if bounds:
         for limit in fields(FuzzBounds):
-            parser.add_argument("--" + limit.name.replace("_", "-"), type=int,
+            bound = _checked(lambda n, name=limit.name: FuzzBounds(**{name: n}))
+            parser.add_argument("--" + limit.name.replace("_", "-"), type=bound,
                                 default=limit.default, metavar="N",
                                 help=f"default {limit.default}")
 
@@ -231,8 +245,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--fuzz and an input path are mutually exclusive")
         if args.fuzz is not None and args.out is not None:
             parser.error("--fuzz writes no formula, so --out has nothing to write")
-        if args.fuzz is not None and args.fuzz < 0:
-            parser.error("--fuzz needs a non-negative count")
         config = PipelineConfig(
             passes=args.passes,
             max_rounds=args.max_rounds,

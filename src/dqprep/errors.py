@@ -12,11 +12,10 @@ class ContractViolation(DqprepError):
 
 
 class CompatibilityError(DqprepError):
-    """A clause or lookup mentions a variable the prefix does not declare."""
+    """A clause, lookup or prefix operation names an undeclared variable."""
 
 
-class NotInPrefixError(DqprepError):
-    """A prefix operation named a variable that is not quantified."""
+NotInPrefixError = CompatibilityError  # the former name of the same error
 
 
 class KernelUndefined(DqprepError):

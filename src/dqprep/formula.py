@@ -23,31 +23,28 @@ threads; every operation returns a new value.
 
 from __future__ import annotations
 
+import enum
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .errors import CompatibilityError, ContractViolation, NotInPrefixError
+from .errors import CompatibilityError, ContractViolation
 
 Literal = int
 Clause = tuple[Literal, ...]
 
 
-class _TautologyType:
+class _TautologyType(enum.Enum):
     """Marker for clauses containing a variable in both polarities."""
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    TAUTOLOGY = "TAUTOLOGY"
 
     def __repr__(self) -> str:
-        return "TAUTOLOGY"
+        return self.value
+
+    __str__ = __repr__
 
 
-TAUTOLOGY = _TautologyType()
+TAUTOLOGY = _TautologyType.TAUTOLOGY
 
 
 def literal_key(literal: Literal) -> tuple[int, bool]:
@@ -214,7 +211,7 @@ def prefix_remove(prefix: Prefix, var: int) -> Prefix:
     if var in prefix.existentials:
         rest = {y: deps for y, deps in prefix.existentials.items() if y != var}
         return Prefix(prefix.universals, rest)
-    raise NotInPrefixError(f"variable {var} is not in the prefix")
+    raise CompatibilityError(f"variable {var} is not in the prefix")
 
 
 def is_compatible(scope: Dqbf | Prefix, clause: Iterable[int]) -> bool:

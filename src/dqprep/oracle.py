@@ -19,6 +19,7 @@ can skip oversized instances without ever misreporting a verdict.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -195,10 +196,9 @@ def _bit_mask(total_bits: int, position: int) -> int:
     return mask
 
 
-# The masks of the formulas seen last, computed or derived, least recent
-# first, each as (hash, key, (mask, layout)), so a key is hashed once per
-# lookup. The lock keeps the list whole when threads share it.
-_masks: list[tuple[int, tuple, tuple[int, _Layout]]] = []
+# The masks of the formulas used last, computed or derived, least recent
+# first. The lock keeps the memo whole when threads share it.
+_masks: OrderedDict[tuple, tuple[int, _Layout]] = OrderedDict()
 _masks_lock = threading.Lock()
 
 
@@ -220,20 +220,20 @@ def _satisfying_mask(formula: Dqbf, limit: int,
         raise BudgetError(
             f"{len(prefix.universals)} universals exceed the 2**{limit} budget")
     key = (prefix.universals, dependencies, formula.matrix)
-    hashed = hash(key)
     with _masks_lock:
-        for index, (other, other_key, found) in enumerate(_masks):
-            if other == hashed and other_key == key:
-                _masks.append(_masks.pop(index))
-                return found
+        found = _masks.get(key)
+        if found is not None:
+            _masks.move_to_end(key)
+            return found
     layout = _prefix_layout(prefix.universals, dependencies)
     mask = implied and _derived_mask(layout, *implied, formula.matrix)
     if mask is None:
         mask = _mask_kernel(layout, formula.matrix)
     with _masks_lock:
-        _masks[:] = [e for e in _masks if e[0] != hashed or e[1] != key]
-        _masks.append((hashed, key, (mask, layout)))
-        del _masks[:-_MASK_MEMO_SIZE]
+        _masks[key] = mask, layout
+        _masks.move_to_end(key)
+        if len(_masks) > _MASK_MEMO_SIZE:
+            _masks.popitem(last=False)
     return mask, layout
 
 

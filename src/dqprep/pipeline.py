@@ -24,7 +24,7 @@ import logging
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import oracle
 from .dqdimacs import emit_dqdimacs
@@ -84,7 +84,7 @@ def _run_ur(formula: Dqbf) -> tuple[Dqbf, PassReport, None]:
     report.clauses_shortened = sum(len(shorter) < len(clause) for shorter, clause
                                    in zip(reduced, formula.matrix))
     after = Dqbf(formula.prefix, Canonical(reduced))
-    report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
+    report.clauses_removed = len(formula.matrix) - len(after.matrix)
     report.conflicts = int(() in after.matrix)
     return after, report, None
 
@@ -100,7 +100,7 @@ def _run_up(formula: Dqbf) -> tuple[Dqbf, PassReport, PropagationOutcome | None]
     after = outcome.result
     assert after is not None
     report.units_added = len(outcome.units)
-    report.clauses_removed = max(0, len(formula.matrix) - len(after.matrix))
+    report.clauses_removed = len(formula.matrix) - len(after.matrix)
     # a clause lost falsified literals, or universals to reduction alone
     clauses = set(formula.matrix)
     report.clauses_shortened = sum(clause not in clauses for clause in after.matrix)
@@ -114,14 +114,11 @@ def _apply_pass(name: str, formula: Dqbf, config: PipelineConfig
     if name == "up":
         return _run_up(formula)
     if name == "upla":
-        after, report = upla_pass(formula, config.upla_existential_only)
-        return after, report, None
+        return *upla_pass(formula, config.upla_existential_only), None
     if name == "vivify":
-        after, report = vivify_pass(formula, config.vivify_budget)
-        return after, report, None
+        return *vivify_pass(formula, config.vivify_budget), None
     if name == "dqrat":
-        after, report = dqrat_eliminate_pass(formula)
-        return after, report, None
+        return *dqrat_eliminate_pass(formula), None
     raise ContractViolation(f"unknown pass {name!r}")
 
 
@@ -249,6 +246,11 @@ class FuzzBounds:
     max_clauses: int = 8
     max_clause_width: int = 4
 
+    def __post_init__(self) -> None:
+        if min(astuple(self)) < 0 or self.max_clause_width < 1:
+            raise ContractViolation("fuzz bounds must be non-negative, "
+                                    "and max_clause_width at least 1")
+
 
 def _random_formula(rng: random.Random, bounds: FuzzBounds) -> Dqbf:
     n_universal = rng.randint(0, bounds.max_universals)
@@ -274,6 +276,7 @@ def _random_formula(rng: random.Random, bounds: FuzzBounds) -> Dqbf:
 
 def fuzz(seed: int, count: int, bounds: FuzzBounds = FuzzBounds()) -> Iterator[Dqbf]:
     """Deterministic stream of `count` random formulas."""
+    if count < 0:
+        raise ContractViolation("the count of formulas must be non-negative")
     rng = random.Random(seed)
-    for _ in range(count):
-        yield _random_formula(rng, bounds)
+    return (_random_formula(rng, bounds) for _ in range(count))

@@ -47,16 +47,8 @@ from dataclasses import dataclass
 from operator import neg
 
 from .errors import CompatibilityError, ContractViolation
-from .formula import (
-    Canonical,
-    Clause,
-    Dqbf,
-    Prefix,
-    TAUTOLOGY,
-    dep,
-    is_compatible,
-    normalize_clause,
-)
+from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, dep,
+                      is_compatible, normalize_clause)
 
 _NOTHING: frozenset[int] = frozenset()
 

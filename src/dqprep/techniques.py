@@ -66,12 +66,6 @@ def _sorted(literals: list[int]) -> Clause:
     return tuple(sorted(literals, key=abs))
 
 
-def _literal_order(store: ClauseStore, clause: Clause) -> list[int]:
-    # most frequent literal first, ties by variable id
-    occurrences = store.occurrences
-    return sorted(clause, key=lambda lit: (-len(occurrences.get(lit, ())), abs(lit)))
-
-
 def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
                   budget: int = DEFAULT_VIVIFY_BUDGET) -> VivifyResult:
     """Try to shorten one clause of the formula.
@@ -90,7 +84,9 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
         raise ContractViolation("clause to vivify must be in the matrix")
     if len(canon) < 2:
         return VivifyResult(VivifyKind.UNCHANGED)
-    order = _literal_order(store, canon)
+    # most frequent literal first, ties by variable id
+    occurrences = store.occurrences
+    order = sorted(canon, key=lambda lit: (-len(occurrences.get(lit, ())), abs(lit)))
     steps_used = 0
     with store.hidden(cid):
         for size in range(len(canon)):
@@ -202,11 +198,8 @@ def upla_pass(formula: Dqbf, existential_only: bool = False) -> tuple[Dqbf, Pass
     if () in formula.matrix:
         return formula, report
     store = ClauseStore(formula)
-    if existential_only:
-        candidates = sorted(formula.prefix.existentials)
-    else:
-        candidates = sorted(formula.prefix.variables)
-    for var in candidates:
+    prefix = formula.prefix
+    for var in sorted(prefix.existentials if existential_only else prefix.variables):
         findings = upla_probe(store, var)
         if findings.contradictory:
             report.conflicts += 1

@@ -1,5 +1,8 @@
 """Core model: clause normalization, prefixes, formulas, dependency sets."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +31,16 @@ def test_normalize_empty():
 def test_normalize_tautology():
     assert normalize_clause([1, -1]) is TAUTOLOGY
     assert normalize_clause([2, 1, -2]) is TAUTOLOGY
+
+
+def test_tautology_is_one_truthy_marker_named_tautology():
+    # identity checks (`is TAUTOLOGY`) must survive copies and pickling
+    assert copy.copy(TAUTOLOGY) is TAUTOLOGY
+    assert copy.deepcopy(TAUTOLOGY) is TAUTOLOGY
+    assert copy.deepcopy([(1, 2), TAUTOLOGY])[1] is TAUTOLOGY
+    assert pickle.loads(pickle.dumps(TAUTOLOGY)) is TAUTOLOGY
+    assert repr(TAUTOLOGY) == str(TAUTOLOGY) == "TAUTOLOGY"
+    assert TAUTOLOGY
 
 
 def test_normalize_rejects_zero():
@@ -143,6 +156,13 @@ def test_prefix_remove_universal_strips_dependencies():
 def test_prefix_remove_missing():
     with pytest.raises(NotInPrefixError):
         prefix_remove(Prefix(frozenset(), {}), 1)
+
+
+def test_prefix_remove_of_an_undeclared_variable_is_a_compatibility_error():
+    # one error for a variable the prefix does not declare, by either name
+    assert NotInPrefixError is CompatibilityError
+    with pytest.raises(CompatibilityError, match="variable 3 is not in the prefix"):
+        prefix_remove(Prefix(frozenset({1}), {2: frozenset({1})}), 3)
 
 
 @given(prefixes())

@@ -359,7 +359,7 @@ def test_nothing_is_remembered_over_budget(kernel_calls):
     psi = Dqbf(u_e({1}, {2: frozenset({1})}), ((1, 2),))
     with pytest.raises(BudgetError):
         solve_brute(psi, 1)
-    assert oracle._masks == []
+    assert not oracle._masks
     assert kernel_calls == []
 
 
@@ -372,6 +372,23 @@ def test_memo_tells_dependency_sets_apart(kernel_calls):
     assert not solve_brute(independent).satisfiable
     assert solve_brute(dependent).satisfiable
     assert len(kernel_calls) == 2
+
+
+def test_memo_keeps_the_two_most_recently_used_masks(kernel_calls):
+    # `_verify_pass` checks `up`'s units before its output, so that the
+    # output, used last, is the mask the next pass finds
+    p = u_e({1}, {2: frozenset({1}), 3: frozenset()})
+    a, b, c = (Dqbf(p, matrix) for matrix in (((1, 2),), ((-2, 3),), ((2, 3),)))
+    _mask(a)
+    _mask(b)
+    _mask(a)  # a hit: a is now the more recent of the two
+    assert kernel_calls == [a.matrix, b.matrix]
+    _mask(c)  # evicts b, the least recently used
+    _mask(a)
+    assert kernel_calls == [a.matrix, b.matrix, c.matrix]
+    assert _mask(b) == reference_satisfying_mask(b)
+    assert kernel_calls == [a.matrix, b.matrix, c.matrix, b.matrix]
+    assert len(oracle._masks) == 2
 
 
 def test_equal_formulas_share_one_mask(kernel_calls):

@@ -291,6 +291,20 @@ def test_fuzz_respects_count():
     assert list(fuzz(1, 0)) == []
 
 
+def test_fuzz_rejects_a_negative_count():
+    with pytest.raises(ContractViolation, match="non-negative"):
+        fuzz(1, -3)
+
+
+@pytest.mark.parametrize("field, least", [
+    ("max_universals", 0), ("max_existentials", 0), ("max_clauses", 0),
+    ("max_clause_width", 1)])
+def test_fuzz_bounds_reject_a_limit_below_its_least_value(field, least):
+    with pytest.raises(ContractViolation, match="non-negative"):
+        FuzzBounds(**{field: least - 1})
+    assert len(list(fuzz(1, 5, FuzzBounds(**{field: least})))) == 5
+
+
 def test_fuzz_respects_bounds():
     bounds = FuzzBounds(max_universals=0, max_existentials=2,
                         max_clauses=3, max_clause_width=2)
