@@ -421,7 +421,9 @@ class ClauseStore:
         universals B may depend on; any other A is a ContractViolation.
         A is answered from B's trail: E is checked against it, only E and
         what it implies are processed, and the trail is popped back to B's,
-        the counts of `_drain` with it.
+        the counts of `_drain` with it. Where every literal of E is
+        already on B's trail, nothing is processed and the answer is no
+        (unless B conflicts).
         The answer is the one a fresh probe of A gives:
 
         1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
@@ -461,23 +463,50 @@ class ClauseStore:
            new literal whose complement is in B is never processed, since
            B is assigned; so the run ends in a refuting derivation from A
            or in the end conditions of point 2 for A, and answers as a
-           fresh probe does.
+           fresh probe does. Where E lies on the trail, nothing new is
+           processed, and the base assignment, which holds A, meets the
+           end conditions for A as it does for B.
         """
         if self._base is None:
             return self.probe(assumptions)[0]
         assumed, abstracted, conflict = self._base
         assumptions = tuple(assumptions)
-        extra = [lit for lit in assumptions if lit not in assumed]
-        if (not assumed.issubset(assumptions)
-                or not dep(self.prefix, extra) <= abstracted):
+        if not assumed.issubset(assumptions):
             raise ContractViolation("the assumptions do not extend the held base")
+        # one scan of E: dep(E) <= dep(B) literal by literal, an undeclared
+        # variable reported before a dependency outside the abstraction;
+        # whether a literal of E has its complement on the base's trail;
+        # and the literals not on it yet, which are all `_drain` would
+        # process (it skips the others)
+        existentials, universals = self.prefix.existentials, self.prefix.universals
         true, trail = self.true, self.trail
-        if conflict or any(-lit in true for lit in extra):
+        fresh: list[int] = []
+        within, clash = True, False
+        for lit in assumptions:
+            if lit in assumed:
+                continue
+            var = abs(lit)
+            deps = existentials.get(var)
+            if deps is not None:
+                within = within and deps <= abstracted
+            elif var in universals:
+                within = within and var in abstracted
+            else:
+                raise CompatibilityError(f"variable {var} is not in the prefix")
+            if -lit in true:
+                clash = True
+            elif lit not in true:
+                fresh.append(lit)
+        if not within:
+            raise ContractViolation("the assumptions do not extend the held base")
+        if conflict or clash:
             return True
+        if not fresh:
+            return False
         mark, live = len(trail), self.live
         self.live = live[:]
         try:
-            return self._drain(deque(extra), frozenset(extra), abstracted)
+            return self._drain(deque(fresh), frozenset(fresh), abstracted)
         finally:
             true.difference_update(trail[mark:])
             del trail[mark:]

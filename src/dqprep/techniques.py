@@ -30,10 +30,12 @@ refutation is final, rewriting past it only churns.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
-from .formula import TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key
+from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key,
+                      normalize_clause)
 from .propagation import (ClauseStore, _checked, _reduce, _store_and_clause,
                           dqat_check)
 from .reports import PassReport
@@ -261,23 +263,43 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
     if pivot not in c or -pivot not in d:
         raise ContractViolation(
             "pivot must occur in the first clause and negated in the second")
-    return _resolve(c, d, pivot, outer_variables(prefix, abs(pivot)).outer,
-                    abs(pivot) in prefix.existentials)
+    outer = outer_variables(prefix, abs(pivot)).outer
+    if abs(pivot) in prefix.existentials:
+        parts = c + tuple(lit for lit in d if abs(lit) in outer and lit != -pivot)
+    else:
+        parts = tuple(lit for lit in c if lit != pivot) + tuple(
+            lit for lit in d if abs(lit) in outer)
+    return normalize_clause(parts)
 
 
-def _resolve(canon: Clause, partner: Clause, pivot: int, outer: frozenset[int],
-             existential: bool) -> Clause | object:
-    # `outer_resolvent` of two canonical clauses, given the pivot's outer
-    # set and whether the pivot is existential: a literal in both parts
-    # is kept once, and opposite literals make it a tautology
+def _resolve(canon: Clause, partner: Clause, pivot: int,
+             existentials: Mapping[int, frozenset[int]],
+             outer: frozenset[int] | None) -> Clause | object:
+    # `outer_resolvent` of two canonical clauses over a prefix with these
+    # existentials, given the outer set of a universal pivot, or None for
+    # an existential pivot p. For p the set is not built: a partner
+    # literal over v is kept if v is a universal in deps(p) or an
+    # existential with deps(v) <= deps(p), which is membership in
+    # `outer_variables(prefix, p).outer`. A literal in both parts is kept
+    # once, and opposite literals make it a tautology.
     kept = set(canon)
-    if not existential:
+    if outer is None:
+        target = existentials[abs(pivot)]
+        get = existentials.get
+        for lit in partner:
+            var = abs(lit)
+            deps = get(var)
+            if lit != -pivot and (var in target if deps is None else deps <= target):
+                if -lit in kept:
+                    return TAUTOLOGY
+                kept.add(lit)
+    else:
         kept.discard(pivot)
-    for lit in partner:
-        if abs(lit) in outer and not (existential and lit == -pivot):
-            if -lit in kept:
-                return TAUTOLOGY
-            kept.add(lit)
+        for lit in partner:
+            if abs(lit) in outer:
+                if -lit in kept:
+                    return TAUTOLOGY
+                kept.add(lit)
     return tuple(sorted(kept, key=abs))
 
 
@@ -296,17 +318,19 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     if not isinstance(formula, ClauseStore) and pivot not in clause:
         raise ContractViolation("pivot must occur in the clause")
     store, canon = _store_and_clause(formula, clause)
-    existential = abs(pivot) in store.prefix.existentials
-    # computed at the first partner, so a pivot without partners passes
-    # even where its outer set is undefined
+    existentials = store.prefix.existentials
+    # a universal pivot's outer set is computed at the first partner, so
+    # a pivot without partners passes even where the set is undefined;
+    # an existential pivot's is tested literal by literal in `_resolve`
+    existential = abs(pivot) in existentials
     outer = None
     for cid in store.occurrences.get(-pivot, ()):
         partner = store.clauses[cid]
         if partner is None:
             continue
-        if outer is None:
+        if outer is None and not existential:
             outer = outer_variables(store.prefix, abs(pivot)).outer
-        resolvent = _resolve(canon, partner, pivot, outer, existential)
+        resolvent = _resolve(canon, partner, pivot, existentials, outer)
         if resolvent is TAUTOLOGY:
             continue
         if not dqat_check(store, resolvent):
@@ -330,9 +354,10 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     resolvent R on an existential pivot p to contain C and to satisfy
     dep(R) = dep(C):
 
-    1. `outer_variables` gives p the universals of deps(p) and the
-       existentials y with deps(y) <= deps(p), so every literal l over
-       an outer variable has dep(l) <= deps(p).
+    1. `_resolve` keeps a partner literal over v only if v is a
+       universal in deps(p) or an existential with deps(v) <= deps(p),
+       the outer variables `outer_variables` gives p, so every literal
+       l it keeps has dep(l) <= deps(p).
     2. p is a literal of C, so deps(p) <= dep(C).
     3. R is C together with the partner's outer literals other than -p
        (`_resolve`), hence contains C, and dep(R) is dep(C) together

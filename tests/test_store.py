@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqprep import (ContractViolation, Dqbf, FuzzBounds, KernelUndefined,
-                    PipelineConfig, Prefix, dep, dqrat_plus_check,
-                    emit_dqdimacs, fuzz, normalize_clause, run_pipeline)
+from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
+                    KernelUndefined, PipelineConfig, Prefix, dep,
+                    dqrat_plus_check, emit_dqdimacs, fuzz, normalize_clause,
+                    run_pipeline)
 from dqprep import propagation
 from dqprep.propagation import ClauseStore, abstract
 from conftest import chain, counting_calls, formulas, u_e
@@ -440,6 +441,64 @@ def test_refutes_restores_the_counts_of_its_base():
                    ((1, 2, 3, 4), (-4, 5), (-4, -5)))
     assert base_cases(formula, None, [-1], [[-2], [-2, -3]]) == {"reused"}
     assert ClauseStore(formula).probe([-1, -2, -3])[0]
+
+
+def test_extension_on_the_base_trail_is_answered_without_draining(monkeypatch):
+    # an extension whose literals the base already propagated, within its
+    # abstraction, adds nothing to process: it answers as a fresh probe
+    # without `_drain`; a base that conflicts answers yes
+    rng = random.Random(5)
+    drains = []
+    drain = ClauseStore._drain
+
+    def counting_drain(self, *args):
+        drains.append(args)
+        return drain(self, *args)
+
+    monkeypatch.setattr(ClauseStore, "_drain", counting_drain)
+    answers = set()
+    for formula in fuzz(47, 300, FuzzBounds(3, 5, 12, 3)):
+        variables = sorted(formula.prefix.variables)
+        if not variables:
+            continue
+        base = [rng.choice(variables) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 3))]
+        store = ClauseStore(formula)
+        with store.based(base):
+            trail = store.trail[:]
+            reach = dep(formula.prefix, base)
+            # the base's own literals where nothing else fits, as when it
+            # conflicts on a seed before they are processed
+            pool = [l for l in trail if dep(formula.prefix, l) <= reach] or base
+            for _ in range(3):
+                extra = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+                expected = ClauseStore(formula).probe(base + extra)[0]
+                drained = len(drains)
+                assert store.refutes(base + extra) == expected
+                assert len(drains) == drained and store.trail == trail
+                answers.add(expected)
+    assert answers == {False, True}
+
+
+def test_refutes_reports_errors_in_order():
+    # a missing base literal first, then an undeclared variable, then a
+    # dependency outside the base's abstraction
+    formula = Dqbf(u_e({1, 2}, {3: frozenset({1}), 4: frozenset({2})}),
+                   ((3, 4), (-3, 1, 4)))
+    store = ClauseStore(formula)
+    with store.based([3]):
+        with pytest.raises(CompatibilityError):
+            store.refutes([3, 7])
+        with pytest.raises(ContractViolation):
+            store.refutes([7])
+        with pytest.raises(ContractViolation):
+            store.refutes([3, 2])
+        with pytest.raises(ContractViolation):
+            store.refutes([3, -4])
+        with pytest.raises(CompatibilityError):
+            store.refutes([3, 2, 7])
+        assert not store.refutes([3, 1])
+        assert store.trail == [3]
 
 
 def recounted(store: ClauseStore) -> bytearray:

@@ -315,15 +315,34 @@ def test_resolve_matches_outer_resolvent_on_canonical_clauses(formula):
     prefix = formula.prefix
     for first in formula.matrix:
         for pivot in first:
-            try:
-                outer = outer_variables(prefix, abs(pivot)).outer
-            except KernelUndefined:
-                continue
-            existential = abs(pivot) in prefix.existentials
+            # an existential pivot's outer set is tested literal by literal
+            outer = None
+            if abs(pivot) not in prefix.existentials:
+                try:
+                    outer = outer_variables(prefix, abs(pivot)).outer
+                except KernelUndefined:
+                    continue
             for second in formula.matrix:
                 if -pivot in second:
-                    assert (_resolve(first, second, pivot, outer, existential)
+                    assert (_resolve(first, second, pivot, prefix.existentials,
+                                     outer)
                             == outer_resolvent(prefix, first, second, pivot))
+
+
+@given(formulas())
+def test_existential_outer_test_matches_outer_variables(formula):
+    # the literal-by-literal test of an existential pivot p keeps the
+    # partner literal over v exactly when v is in p's outer set
+    prefix = formula.prefix
+    for pivot in sorted(prefix.existentials):
+        outer = outer_variables(prefix, pivot).outer
+        for var in sorted(prefix.variables - {pivot}):
+            for lit in (var, -var):
+                partner = tuple(sorted((-pivot, lit), key=abs))
+                kept = _resolve((pivot,), partner, pivot, prefix.existentials,
+                                None)
+                assert kept == (tuple(sorted((pivot, lit), key=abs))
+                                if var in outer else (pivot,))
 
 
 _LITERALS = st.builds(lambda var, sign: var * sign, st.integers(1, 8),
@@ -346,7 +365,13 @@ def test_resolve_merges_as_normalization_does(data):
         merged = list(canon) + [lit for lit in outer_part if lit != -pivot]
     else:
         merged = [lit for lit in canon if lit != pivot] + outer_part
-    assert (_resolve(canon, partner, pivot, outer, existential)
+    # existentials whose literal-by-literal outer test for an existential
+    # pivot keeps exactly the variables of `outer`: the pivot and those
+    # variables depend on nothing, every other variable on universal 9
+    existentials = {var: frozenset() if var in outer or var == abs(pivot)
+                    else frozenset({9}) for var in range(1, 9)}
+    assert (_resolve(canon, partner, pivot, existentials,
+                     None if existential else outer)
             == normalize_clause(merged))
 
 
@@ -553,6 +578,20 @@ def test_dqrat_pass_propagates_each_clause_once_for_its_existential_pivots(
     # the resolvents one propagation per resolvent would pay for
     assert counts["existential"] >= 2 * len(examined) == 20
     assert counts["propagate"] <= len(examined) + counts["universal"]
+
+
+def test_dqrat_pass_builds_no_outer_set_for_an_existential_pivot(monkeypatch):
+    # every existential pivot of PIVOTED has partners; only the universal
+    # pivot 1 may have its outer set built
+    pivots = []
+
+    def noting_outer(prefix, var):
+        pivots.append(var)
+        return outer_variables(prefix, var)
+
+    monkeypatch.setattr(techniques, "outer_variables", noting_outer)
+    dqrat_eliminate_pass(PIVOTED)
+    assert pivots and set(pivots) == {1}
 
 
 @contextmanager
