@@ -34,6 +34,12 @@ exactly one clause over declared, distinct variables. Both are read
 only where the ``_``/ASCII rule holds. Any other line falls through,
 with nothing of it committed, to the per-line code, so every result,
 diagnostic and error is the one the per-line code alone would give.
+
+Equal dependency sets, from ``d`` lines, ``e`` lines or free variables,
+are one ``frozenset`` object in the parsed prefix, so n ``d`` lines
+that share one set of k universals keep one set, not n; the prefix's
+``variables`` are built on first use, and `emit_dqdimacs` never builds
+them.
 """
 
 from __future__ import annotations
@@ -72,6 +78,8 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     header_line = 0
     universals: set[int] = set()
     existentials: dict[int, frozenset[int]] = {}
+    # one object per distinct dependency set, however many lines share it
+    shared: dict[frozenset[int], frozenset[int]] = {}
     declared: frozenset[int] = frozenset()
     kept: list[Clause] = []
     found = 0
@@ -112,7 +120,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                     var = 0  # falls through
                 if (0 < var <= max_var and var not in universals
                         and var not in existentials and deps <= universals):
-                    existentials[var] = deps
+                    existentials[var] = shared.setdefault(deps, deps)
                     continue
         line = raw.strip()
         if not line or line[0] == "c":
@@ -161,7 +169,9 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                 values, deps = values[:1], values[1:]
             # a redeclared variable is reported before a bad dependency;
             # the variables of an `e` line share one dependency set
-            inherited = frozenset(universals) if head == "e" else None
+            if head == "e":
+                inherited = frozenset(universals)
+                inherited = shared.setdefault(inherited, inherited)
             for var in values:
                 if var in universals or var in existentials:
                     raise ParseError(f"variable {var} redeclared", lineno)
@@ -174,7 +184,8 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                     if v not in universals:
                         raise ParseError(
                             f"dependency on non-universal variable {v}", lineno)
-                existentials[values[0]] = frozenset(deps)
+                deps = frozenset(deps)
+                existentials[values[0]] = shared.setdefault(deps, deps)
             continue
         if not found and not pending:
             # the first clause line: the declarations are complete
@@ -208,8 +219,10 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     if pending:
         raise ParseError("unterminated clause at end of input", pending_line)
 
+    free: frozenset[int] = frozenset()
+    free = shared.setdefault(free, free)
     for var in sorted(first_use):
-        existentials[var] = frozenset()
+        existentials[var] = free
         diagnostics.append(ParseDiagnostic(
             first_use[var],
             f"free variable {var} treated as existential with no dependencies"))
@@ -232,7 +245,9 @@ def emit_dqdimacs(formula: Dqbf) -> str:
     matrix order. Parsing the output reproduces the formula exactly.
     """
     prefix = formula.prefix
-    max_var = max(prefix.variables, default=0)
+    # the existentials are ascending, so the last is the largest
+    max_var = max(max(prefix.universals, default=0),
+                  next(reversed(prefix.existentials), 0))
     lines = [f"p cnf {max_var} {len(formula.matrix)}"]
     if prefix.universals:
         lines.append("a " + " ".join(str(v) for v in sorted(prefix.universals)) + " 0")

@@ -15,10 +15,14 @@ every clause is a canonical, non-tautological clause over the prefix
 it is paired with, so `Dqbf` only drops repeated clauses, keeping the
 first occurrence, and skips the rest. Prefixes are likewise validated
 where they enter, and `Prefix._trusted` builds the few the package
-makes from parts it has already validated.
+makes from parts it has already validated. Within a prefix, equal
+dependency sets are one `frozenset` object, so a prefix holds one set
+per distinct set however many existentials share it; its `variables`
+are built on first use.
 
 All values are immutable once constructed and safe to share between
-threads; every operation returns a new value.
+threads; every operation returns a new value. Two threads that read a
+prefix's `variables` first at once may both build it, to equal sets.
 """
 
 from __future__ import annotations
@@ -91,19 +95,20 @@ class Prefix:
     existentials in ascending order. The parser and the propagation
     fixpoint, whose parts are already valid, build theirs through the
     private `_trusted`, which skips that work, as `Canonical` does for
-    matrices.
+    matrices. Construction makes equal dependency sets one object.
     """
 
     universals: frozenset[int] = frozenset()
     existentials: Mapping[int, frozenset[int]] = field(default_factory=dict)
-    # every quantified variable; computed once, since it is consulted
-    # for every literal that is checked against the prefix
-    variables: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         universals = frozenset(map(int, self.universals))
         raw = dict(self.existentials)
-        existentials = {int(y): frozenset(map(int, raw[y])) for y in sorted(raw)}
+        shared: dict[frozenset[int], frozenset[int]] = {}
+        existentials: dict[int, frozenset[int]] = {}
+        for y in sorted(raw):
+            deps = frozenset(map(int, raw[y]))
+            existentials[int(y)] = shared.setdefault(deps, deps)
         for var in universals | existentials.keys():
             if var < 1:
                 raise ContractViolation(f"variable ids must be positive: {var}")
@@ -118,7 +123,6 @@ class Prefix:
                     f"dependencies of {var} are not universal: {sorted(stray)}")
         object.__setattr__(self, "universals", universals)
         object.__setattr__(self, "existentials", existentials)
-        object.__setattr__(self, "variables", universals | frozenset(existentials))
 
     @classmethod
     def _trusted(cls, universals: frozenset[int],
@@ -126,12 +130,28 @@ class Prefix:
         """The prefix of parts the caller has already validated: positive
         ints, universals and existentials disjoint, every dependency set
         a frozenset of universals, and the existentials' keys ascending.
-        Internal, like `Canonical`: nothing is checked or copied."""
+        Internal, like `Canonical`: nothing is checked or copied, so
+        equal dependency sets are one object only if they are so in
+        `existentials`."""
         prefix = object.__new__(cls)
         object.__setattr__(prefix, "universals", universals)
         object.__setattr__(prefix, "existentials", existentials)
-        object.__setattr__(prefix, "variables", universals.union(existentials))
         return prefix
+
+    # the set `variables` builds on first use; not a field, so it takes
+    # no part in `==` or `repr`. It is stored by `object.__setattr__`,
+    # not through `__dict__` as `functools.cached_property` does, which
+    # gives the instance a dict of its own and slows every other
+    # attribute read of the prefix
+    _variables = None
+
+    @property
+    def variables(self) -> frozenset[int]:
+        """Every quantified variable, built on first use and kept."""
+        if self._variables is None:
+            object.__setattr__(self, "_variables",
+                               self.universals.union(self.existentials))
+        return self._variables
 
     def __contains__(self, var: int) -> bool:
         return var in self.universals or var in self.existentials
@@ -216,5 +236,5 @@ def prefix_remove(prefix: Prefix, var: int) -> Prefix:
 
 def is_compatible(scope: Dqbf | Prefix, clause: Iterable[int]) -> bool:
     """True iff every variable of the clause occurs in the prefix."""
-    prefix = scope.prefix if isinstance(scope, Dqbf) else scope
-    return all(abs(int(l)) in prefix.variables for l in clause)
+    known = (scope.prefix if isinstance(scope, Dqbf) else scope).variables
+    return all(abs(int(l)) in known for l in clause)

@@ -298,13 +298,15 @@ def test_stdout_pipe_closed_by_its_reader(tmp_path):
     path = write(tmp_path, "\n".join(lines) + "\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.Popen([sys.executable, "-m", "dqprep", "--passes", "ur", path],
-                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                           env=env)
-    assert len(run.stdout.read(10)) == 10
-    run.stdout.close()
-    err = run.stderr.read().decode()
-    assert run.wait(timeout=60) == 1
+    # leaving the block closes both pipes and reaps the child, also when
+    # an assertion inside it fails
+    with subprocess.Popen([sys.executable, "-m", "dqprep", "--passes", "ur", path],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as run:
+        assert len(run.stdout.read(10)) == 10
+        run.stdout.close()
+        err = run.stderr.read().decode()
+        assert run.wait(timeout=60) == 1
     assert err == "dqprep: cannot write <stdout>: Broken pipe\n"
 
 

@@ -488,3 +488,46 @@ def test_a_long_e_line_parses_in_linear_time_and_memory():
         assert len(parsed.formula.prefix.existentials) == n
     assert (times[-1] / times[0]) ** 0.5 <= 2.5, times
     assert max(b / a for a, b in zip(peaks, peaks[1:])) <= 2.5, peaks
+
+
+def test_d_lines_sharing_one_set_keep_one_set():
+    # n `d` lines each list the same n universals: the parsed prefix
+    # holds that set once, so what parsing retains grows with n and
+    # stays below the text, whose numbers grow with n**2. The doubling
+    # ratio is taken over the whole range: CPython caches the ints up
+    # to 256, so at the smallest size fewer of them are allocated
+    retained = []
+    for n in (300, 600, 1200):
+        universals = " ".join(map(str, range(1, n + 1)))
+        text = "".join([f"p cnf {2 * n} 0\na {universals} 0\n",
+                        *(f"d {y} {universals} 0\n"
+                          for y in range(n + 1, 2 * n + 1))])
+        tracemalloc.start()
+        try:
+            parsed = parse_dqdimacs(text)
+            retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        sets = list(parsed.formula.prefix.existentials.values())
+        assert len(sets) == n and sets[0] == set(range(1, n + 1))
+        assert all(deps is sets[0] for deps in sets)
+        assert retained[-1] < len(text), (n, retained[-1], len(text))
+    assert (retained[-1] / retained[0]) ** 0.5 <= 2.5, retained
+
+
+def test_e_lines_and_free_variables_share_their_sets():
+    text = "p cnf 7 1\na 1 0\ne 2 0\ne 3 0\nd 4 1 0\nd 5 0\n2 6 7 0\n"
+    e = parse_dqdimacs(text).formula.prefix.existentials
+    assert e[2] == {1} and e[2] is e[3] is e[4]
+    assert e[5] == set() and e[5] is e[6] is e[7]
+
+
+def test_parse_and_emit_leave_the_variables_unbuilt():
+    # the header's bound is the largest universal or existential
+    for text, header in ((EXAMPLE, "p cnf 3 2"),
+                         ("p cnf 9 0\na 7 0\ne 2 0\n", "p cnf 7 0"),
+                         ("p cnf 9 0\na 2 0\ne 7 0\n", "p cnf 7 0"),
+                         ("p cnf 0 0\n", "p cnf 0 0")):
+        formula = parse_dqdimacs(text).formula
+        assert emit_dqdimacs(formula).split("\n")[0] == header
+        assert set(vars(formula.prefix)) == {"universals", "existentials"}

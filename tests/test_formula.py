@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import formulas, prefixes
 from dqprep import (TAUTOLOGY, CompatibilityError, ContractViolation, Dqbf,
-                    NotInPrefixError, Prefix, dep, is_compatible, literal_key,
-                    normalize_clause, prefix_remove)
+                    NotInPrefixError, Prefix, abstract, dep, is_compatible,
+                    literal_key, normalize_clause, prefix_remove)
 
 
 def test_normalize_sorts_and_dedupes():
@@ -70,6 +70,38 @@ def test_prefix_membership_and_variables():
     assert 2 in p and 3 in p and 5 in p and 4 not in p
     assert p.variables == frozenset({2, 3, 5})
     assert list(p.existentials) == [3, 5]  # ascending iteration order
+
+
+def test_equal_dependency_sets_are_one_object():
+    # a prefix holds one set per distinct dependency set, however it was
+    # built and whatever iterable each set was handed in as
+    p = Prefix(frozenset({1, 2}), {3: [2, 1], 4: {1, 2}, 5: frozenset({1}),
+                                   6: (1,), 7: ()})
+    e = p.existentials
+    assert e[3] == {1, 2} and e[3] is e[4]
+    assert e[5] == {1} and e[5] is e[6] and e[5] is not e[3]
+    removed = prefix_remove(p, 2).existentials
+    assert all(removed[y] is removed[3] for y in (4, 5, 6))
+    abstracted = abstract(Dqbf(p), {2}).prefix.existentials
+    assert all(abstracted[y] is abstracted[3] for y in (4, 5, 6))
+    assert abstracted[3] == {1} and abstracted[7] is abstracted[2] == set()
+
+
+@pytest.mark.parametrize("build", [Prefix, Prefix._trusted])
+def test_variables_are_built_on_first_use(build):
+    # a new prefix stores its two fields and nothing else
+    p = build(frozenset({2}), {3: frozenset(), 5: frozenset({2})})
+    assert set(vars(p)) == {"universals", "existentials"}
+    assert copy.copy(p).variables == frozenset({2, 3, 5})
+    assert set(vars(p)) == {"universals", "existentials"}
+    assert p.variables == frozenset({2, 3, 5})
+    assert p.variables is p.variables
+    # not a field: a prefix that has built them equals one that has not
+    fresh = build(frozenset({2}), {3: frozenset(), 5: frozenset({2})})
+    assert p == fresh and set(vars(fresh)) == {"universals", "existentials"}
+    assert "variables" not in repr(p) and repr(p) == repr(fresh)
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin.variables == frozenset({2, 3, 5})
 
 
 def test_dqbf_normalizes_matrix():
