@@ -34,12 +34,22 @@ exactly one clause over declared, distinct variables. Both are read
 only where the ``_``/ASCII rule holds. Any other line falls through,
 with nothing of it committed, to the per-line code, so every result,
 diagnostic and error is the one the per-line code alone would give.
+The fast form is the only place a ``d`` line is declared: one that
+passes every check never reaches the per-line code, which for a ``d``
+line only finds the error.
 
-Equal dependency sets, from ``d`` lines, ``e`` lines or free variables,
-are one ``frozenset`` object in the parsed prefix, so n ``d`` lines
-that share one set of k universals keep one set, not n; the prefix's
-``variables`` are built on first use, and `emit_dqdimacs` never builds
-them.
+Dependency sets are read and written once per distinct set. The parser
+keeps, for one call, a memo from the text of a ``d`` line after its
+variable to the set it read: the integers of each distinct text are
+converted and checked once, and a later line with the same text costs a
+dict lookup. The memo holds only texts that passed, and the universals
+only grow before the first clause, so a hit needs no new check. Equal
+sets, from ``d`` lines, ``e`` lines or free variables, are one
+``frozenset`` object in the parsed prefix, so n ``d`` lines that share
+one set of k universals keep one set, not n; the prefix's ``variables``
+are built on first use, and `emit_dqdimacs` never builds them. The
+emitter renders each distinct set once per call, in a memo keyed by the
+set, so those n lines format k integers, not n·k.
 """
 
 from __future__ import annotations
@@ -89,17 +99,22 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     # a fast form may read a line with int() only if it holds no '_' and
     # no non-ASCII character; tested once here, or per line if this fails
     clean = text.isascii() and "_" not in text
+    # the dependency set of each `d` line text after its variable that
+    # passed the checks: `universals` only grows before the first clause,
+    # so a text that passed once passes again
+    known: dict[str, frozenset[int]] = {}
+    if "\r" in text:
+        # lines end at LF, CRLF and CR only
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
 
-    # lines end at LF, CRLF and CR only
-    for lineno, raw in enumerate(
-            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if (header is not None and not pending
                 and (clean or raw.isascii() and "_" not in raw)):
-            tokens = raw.split()
             if found:
                 # exactly one clause: its last token is the only zero,
                 # and its variables are declared and distinct (0 is never
                 # declared; a repeated literal or a tautology repeats one)
+                tokens = raw.split()
                 if tokens and tokens.pop() == "0":
                     try:
                         literals = list(map(int, tokens))
@@ -111,17 +126,27 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                         kept.append(tuple(literals))
                         found += 1
                         continue
-            elif len(tokens) > 2 and tokens[0] == "d" and tokens.pop() == "0":
-                # a new existential in range with universal dependencies
-                try:
-                    var = int(tokens[1])
-                    deps = frozenset(map(int, tokens[2:]))
-                except ValueError:
-                    var = 0  # falls through
-                if (0 < var <= max_var and var not in universals
-                        and var not in existentials and deps <= universals):
-                    existentials[var] = shared.setdefault(deps, deps)
-                    continue
+            else:
+                # a `d` line, the only place one is declared: a new
+                # existential in range with universal dependencies
+                parts = raw.split(None, 2)
+                if len(parts) == 3 and parts[0] == "d":
+                    rest = parts[2]
+                    deps = known.get(rest)
+                    try:
+                        var = int(parts[1])
+                        if deps is None:
+                            tokens = rest.split()
+                            if tokens.pop() == "0":
+                                read = frozenset(map(int, tokens))
+                                if read <= universals:
+                                    deps = known[rest] = shared.setdefault(read, read)
+                    except ValueError:
+                        var = 0  # falls through
+                    if (deps is not None and 0 < var <= max_var
+                            and var not in universals and var not in existentials):
+                        existentials[var] = deps
+                        continue
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -184,8 +209,10 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                     if v not in universals:
                         raise ParseError(
                             f"dependency on non-universal variable {v}", lineno)
-                deps = frozenset(deps)
-                existentials[values[0]] = shared.setdefault(deps, deps)
+                # a `d` line that passes every check is one the fast form
+                # takes, so one of the checks above has raised
+                raise AssertionError(f"line {lineno}: a valid 'd' line reached "
+                                     "the per-line code")
             continue
         if not found and not pending:
             # the first clause line: the declarations are complete
@@ -231,9 +258,13 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
             header_line, f"header declares {header[1]} clauses, found {found}"))
     diagnostics += tautologies
     # every clause is normalized and every variable declared by now, and
-    # each part of the prefix was checked on the line that declared it
-    prefix = Prefix._trusted(frozenset(universals),
-                             {y: existentials[y] for y in sorted(existentials)})
+    # each part of the prefix was checked on the line that declared it;
+    # the existentials are rebuilt only if not declared in ascending order
+    order = list(existentials)
+    ascending = sorted(order)
+    if order != ascending:
+        existentials = {y: existentials[y] for y in ascending}
+    prefix = Prefix._trusted(frozenset(universals), existentials)
     return ParseResult(Dqbf(prefix, Canonical(kept)), tuple(diagnostics))
 
 
@@ -245,15 +276,21 @@ def emit_dqdimacs(formula: Dqbf) -> str:
     matrix order. Parsing the output reproduces the formula exactly.
     """
     prefix = formula.prefix
-    # the existentials are ascending, so the last is the largest
+    # a prefix stores its existentials ascending: the last is the largest,
+    # and the `d` lines follow that order
     max_var = max(max(prefix.universals, default=0),
                   next(reversed(prefix.existentials), 0))
     lines = [f"p cnf {max_var} {len(formula.matrix)}"]
     if prefix.universals:
-        lines.append("a " + " ".join(str(v) for v in sorted(prefix.universals)) + " 0")
-    for var in sorted(prefix.existentials):
-        deps = " ".join(str(v) for v in sorted(prefix.existentials[var]))
-        lines.append(f"d {var} {deps} 0" if deps else f"d {var} 0")
+        lines.append("a " + " ".join(map(str, sorted(prefix.universals))) + " 0")
+    # each distinct dependency set is rendered once, with its " 0"
+    rendered: dict[frozenset[int], str] = {}
+    for var, deps in prefix.existentials.items():
+        tail = rendered.get(deps)
+        if tail is None:
+            tail = rendered[deps] = " ".join(["", *map(str, sorted(deps)), "0"])
+        lines.append(f"d {var}{tail}")
     for clause in formula.matrix:
-        lines.append(" ".join([*(str(l) for l in clause), "0"]))
-    return "\n".join(lines) + "\n"
+        lines.append(" ".join(map(str, clause)) + " 0" if clause else "0")
+    lines.append("")  # the last newline, without a copy of the text
+    return "\n".join(lines)

@@ -32,9 +32,10 @@ carries a count of those not yet falsified, and a visit that finds two
 or more still left is settled by the count alone, without the scan;
 `ClauseStore.visits` counts such visits too. `_reduce` returns the
 input tuple itself when it drops no literal, so a clause already
-reduced is not copied. Formulas the store and the reductions hand back
-are marked `Canonical`, so `Dqbf` does not normalize their clauses
-again.
+reduced is not copied, and builds a union of dependency sets only for a
+clause whose existential literals carry two distinct ones. Formulas
+the store and the reductions hand back are marked `Canonical`, so
+`Dqbf` does not normalize their clauses again.
 """
 
 from __future__ import annotations
@@ -73,17 +74,30 @@ def _reduce(clause: Clause, existentials: Mapping[int, frozenset[int]]) -> Claus
     # keep existential literals and universal literals some existential
     # literal of the clause depends on; drop the rest. One scan finds the
     # universal literals; a clause that loses none is returned itself.
-    support: set[int] = set()
-    universal: list[int] = []
+    # `held` is the last dependency set seen: a literal with that same
+    # object, common as a prefix shares equal sets, adds nothing, and the
+    # union is built only once a second set is seen
+    held: frozenset[int] | None = None
+    support: set[int] | None = None
+    universal: list[int] | None = None
     get = existentials.get
     for lit in clause:
         deps = get(abs(lit))
         if deps is None:
-            universal.append(lit)
-        elif deps:
-            support |= deps
-    if not universal:
+            if universal is None:
+                universal = [lit]
+            else:
+                universal.append(lit)
+        elif deps is not held and deps:
+            if held is not None:
+                if support is None:
+                    support = set(held)
+                support |= deps
+            held = deps
+    if universal is None:
         return clause
+    if support is None:
+        support = held or _NOTHING
     dropped = [lit for lit in universal if abs(lit) not in support]
     if not dropped:
         return clause

@@ -465,22 +465,27 @@ def test_a_long_e_line_parses_in_linear_time_and_memory():
     # every variable of an `e` line depends on every universal declared
     # before it: one dependency set for the line, not one per variable.
     # Time is the best of five runs, and its doubling ratio is taken over
-    # the whole range, as single runs of a few milliseconds are noisy
-    times, peaks = [], []
-    for n in (1000, 2000, 4000):
+    # the whole range, as single runs of a few milliseconds are noisy;
+    # the sizes take turns, so a slow spell of the machine slows all three
+    sizes = (1000, 2000, 4000)
+    texts = []
+    for n in sizes:
         universals = " ".join(map(str, range(1, n + 1)))
         existentials = " ".join(map(str, range(n + 1, 2 * n + 1)))
-        text = (f"p cnf {2 * n} 1\na {universals} 0\ne {existentials} 0\n"
-                f"1 {2 * n} 0\n")
-        elapsed = []
-        for _ in range(5):
+        texts.append(f"p cnf {2 * n} 1\na {universals} 0\ne {existentials} 0\n"
+                     f"1 {2 * n} 0\n")
+    elapsed: list[list[float]] = [[] for _ in sizes]
+    for _ in range(5):
+        for text, runs in zip(texts, elapsed):
             start = time.perf_counter()
-            parsed = parse_dqdimacs(text)
-            elapsed.append(time.perf_counter() - start)
-        times.append(min(elapsed))
+            parse_dqdimacs(text)
+            runs.append(time.perf_counter() - start)
+    times = [min(runs) for runs in elapsed]
+    peaks = []
+    for n, text in zip(sizes, texts):
         tracemalloc.start()
         try:
-            parse_dqdimacs(text)
+            parsed = parse_dqdimacs(text)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -531,3 +536,127 @@ def test_parse_and_emit_leave_the_variables_unbuilt():
         formula = parse_dqdimacs(text).formula
         assert emit_dqdimacs(formula).split("\n")[0] == header
         assert set(vars(formula.prefix)) == {"universals", "existentials"}
+
+
+# -- dependency sets: one declaration site, read and rendered once per set --
+#
+# A `d` line is declared in one place, the fast form at the top of the
+# parse loop; the per-line code raises on a `d` line that passes its
+# checks, so a parse that succeeds took every `d` line there.
+
+
+@pytest.mark.parametrize("line", [
+    "d 4 1 2 0", "d\t4\t1\t2\t0", "d   4  1 \t 2    0", "  d 4 1 2 0 \t",
+    "d +4 +1 2 0", "d 004 01 +002 0", "d 4 2 1 0", "d 4 1 2 1 0",
+])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_every_valid_d_shape_is_declared_by_the_fast_form(line, end):
+    # the line and `d 5 1 2 0` write the same set two ways
+    text = end.join(["p cnf 6 1", "a 1 2 3 0", line, "d 5 1 2 0", "4 5 6 0", ""])
+    parsed = parse_dqdimacs(text)
+    assert parsed == reference_parse_dqdimacs(text)
+    existentials = parsed.formula.prefix.existentials
+    assert existentials[4] == {1, 2} and existentials[4] is existentials[5]
+
+
+def d_lines_text(n: int, k: int, spellings: int = 1) -> str:
+    """n `d` lines after an `a` line of k universals, each listing all k
+    of them, written in `spellings` orders taken in turn."""
+    universals = list(range(1, k + 1))
+    orders = [" ".join(map(str, universals[i:] + universals[:i]))
+              for i in range(spellings)]
+    return "".join([f"p cnf {k + n} 0\na {orders[0]} 0\n",
+                    *(f"d {y} {orders[y % spellings]} 0\n"
+                      for y in range(k + 1, k + n + 1))])
+
+
+def test_parse_converts_each_distinct_dependency_text_once(monkeypatch):
+    # 2 header counts, the k universals of the `a` line, the n `d`
+    # variables, and the k universals of each distinct text once
+    import dqprep.dqdimacs as module
+
+    converted = []
+
+    def counting_int(token):
+        converted.append(token)
+        return int(token)
+
+    n, k = 40, 30
+    texts = {spellings: d_lines_text(n, k, spellings) for spellings in (1, 2)}
+    expected = {spellings: reference_parse_dqdimacs(text)
+                for spellings, text in texts.items()}
+    monkeypatch.setattr(module, "int", counting_int, raising=False)
+    for spellings, text in texts.items():
+        converted.clear()
+        assert parse_dqdimacs(text) == expected[spellings]
+        assert len(converted) == 2 + k + n + spellings * k
+
+
+def test_emit_renders_each_distinct_dependency_set_once():
+    renders = []
+
+    class Rendered(int):
+        def __str__(self):
+            renders.append(self)
+            return int.__repr__(self)
+
+    n, k = 40, 30
+    deps = frozenset(map(Rendered, range(1, k + 1)))
+    prefix = Prefix._trusted(frozenset(range(1, k + 1)),
+                             {y: deps for y in range(k + 1, k + n + 1)})
+    text = emit_dqdimacs(Dqbf(prefix, ()))
+    assert len(renders) == k
+    assert text == d_lines_text(n, k)
+
+
+@st.composite
+def shared_set_texts(draw) -> str:
+    """A prefix whose existentials share up to three dependency sets,
+    with an `a` line before the `d` lines and maybe one among them, each
+    integer maybe signed or zero-padded, the sets' elements in any
+    order, the tokens apart by runs of spaces and tabs; then a few
+    clauses, every line ended by LF, CRLF or CR."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    universals = list(range(1, k + 1))
+    split = draw(st.integers(1, k))
+    sets = draw(st.lists(st.frozensets(st.sampled_from(universals)),
+                         min_size=1, max_size=3))
+    gap = st.sampled_from((" ", "  ", "\t", " \t ", "   "))
+
+    def spell(v: int) -> str:
+        return draw(st.sampled_from(("", "+", "0", "+00"))) + str(v)
+
+    def write(tokens: list[str]) -> str:
+        return (draw(st.sampled_from(("", " ", "\t")))
+                + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1]
+                + draw(st.sampled_from(("", " ", "\t "))))
+
+    lines = [f"p cnf {k + n} {draw(st.integers(0, 4))}",
+             write(["a", *map(str, universals[:split]), "0"])]
+    second_a = draw(st.integers(0, n))
+    for i, y in enumerate(range(k + 1, k + n + 1)):
+        if i == second_a and split < k:
+            lines.append(write(["a", *map(str, universals[split:]), "0"]))
+            split = k
+        fitting = [deps for deps in sets if max(deps, default=0) <= split]
+        deps = draw(st.sampled_from(fitting)) if fitting else frozenset()
+        order = draw(st.permutations(sorted(deps)))
+        lines.append(write(["d", spell(y), *map(spell, order), "0"]))
+    for _ in range(draw(st.integers(0, 4))):
+        lits = draw(st.lists(st.integers(1, k + n), unique=True, min_size=1,
+                             max_size=3))
+        lines.append(" ".join([*(str(v * draw(st.sampled_from((1, -1))))
+                                 for v in lits), "0"]))
+    return "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r")))
+                   for line in lines)
+
+
+@given(shared_set_texts())
+def test_shared_sets_written_irregularly_round_trip(text):
+    parsed = parse_dqdimacs(text)
+    assert parsed == reference_parse_dqdimacs(text)
+    formula = parsed.formula
+    sets = list(formula.prefix.existentials.values())
+    assert len(set(map(id, sets))) == len(set(sets))
+    assert parse_dqdimacs(emit_dqdimacs(formula)).formula == formula

@@ -33,6 +33,17 @@ def test_reduce_drops_independent_universal():
     assert universal_reduce_clause(p, (1, 2)) == (2,)
 
 
+def test_reduce_keeps_what_any_of_several_sets_supports():
+    # the sets of 4 and 7 are one object; each universal is supported by
+    # one set only, seen first, last or between repeats of another
+    p = u_e({1, 2, 3}, {4: frozenset({1}), 5: frozenset({2}),
+                        6: frozenset({3}), 7: frozenset({1})})
+    assert universal_reduce_clause(p, (1, 2, 3, 4, 5, 6)) == (1, 2, 3, 4, 5, 6)
+    assert universal_reduce_clause(p, (-1, 2, -3, 4, 7)) == (-1, 4, 7)
+    assert universal_reduce_clause(p, (-3, 4, 6, 7)) == (-3, 4, 6, 7)
+    assert universal_reduce_clause(p, (2, 3, 4, 7)) == (4, 7)
+
+
 def test_reduce_rejects_tautology():
     p = u_e({1}, {})
     with pytest.raises(ContractViolation):
