@@ -206,12 +206,7 @@ def dep(scope: Dqbf | Prefix, target: int | Iterable[int]) -> frozenset[int]:
     prefix = scope.prefix if isinstance(scope, Dqbf) else scope
     universals, existentials = prefix.universals, prefix.existentials
     if isinstance(target, int):
-        # an existential's own set, not a copy
-        var = abs(int(target))
-        deps = existentials.get(var)
-        if deps is not None:
-            return deps
-        target = (var,)
+        target = (target,)
     out: set[int] = set()
     for lit in target:
         var = abs(int(lit))

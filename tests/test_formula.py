@@ -133,12 +133,6 @@ def test_dep_existential_is_declared_set():
     assert dep(p, -3) == frozenset({1})  # literals allowed
 
 
-def test_dep_of_an_existential_is_its_set_in_the_prefix():
-    p = Prefix(frozenset({1, 2}), {3: frozenset({1}), 4: frozenset({1})})
-    for lit in (3, -3, 4):
-        assert dep(p, lit) is p.existentials[abs(lit)]
-
-
 def test_dep_clause_is_union():
     p = Prefix(frozenset({1, 2}), {3: frozenset({1}), 4: frozenset({2})})
     assert dep(p, (3, -4)) == frozenset({1, 2})
