@@ -42,14 +42,17 @@ Dependency sets are read and written once per distinct set. The parser
 keeps, for one call, a memo from the text of a ``d`` line after its
 variable to the set it read: the integers of each distinct text are
 converted and checked once, and a later line with the same text costs a
-dict lookup. The memo holds only texts that passed, and the universals
-only grow before the first clause, so a hit needs no new check. Equal
-sets, from ``d`` lines, ``e`` lines or free variables, are one
-``frozenset`` object in the parsed prefix, so n ``d`` lines that share
-one set of k universals keep one set, not n; the prefix's ``variables``
-are built on first use, and `emit_dqdimacs` never builds them. The
-emitter renders each distinct set once per call, in a memo keyed by the
-set, so those n lines format k integers, not n·k.
+dict lookup. Each integer is checked by looking it up in a map from
+every universal to itself, which also puts the universal's own ``int``
+in the set, so n distinct sets over k universals hold k ints, not one
+per integer read. The memo holds only texts that passed, and the
+universals only grow before the first clause, so a hit needs no new
+check. Equal sets, from ``d`` lines, ``e`` lines or free variables, are
+one ``frozenset`` object in the parsed prefix, so n ``d`` lines that
+share one set of k universals keep one set, not n; the prefix's
+``variables`` are built on first use, and `emit_dqdimacs` never builds
+them. The emitter renders each distinct set once per call, in a memo
+keyed by the set, so those n lines format k integers, not n·k.
 """
 
 from __future__ import annotations
@@ -86,7 +89,10 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
     tautologies: list[ParseDiagnostic] = []
     header: tuple[int, int] | None = None
     header_line = 0
-    universals: set[int] = set()
+    # each universal mapped to itself: a dependency read from a `d` line
+    # is replaced by that one int object, so n sets over k universals
+    # keep k ints, not one per integer read
+    universals: dict[int, int] = {}
     existentials: dict[int, frozenset[int]] = {}
     # one object per distinct dependency set, however many lines share it
     shared: dict[frozenset[int], frozenset[int]] = {}
@@ -138,8 +144,8 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                         if deps is None:
                             tokens = rest.split()
                             if tokens.pop() == "0":
-                                read = frozenset(map(int, tokens))
-                                if read <= universals:
+                                read = frozenset(map(universals.get, map(int, tokens)))
+                                if None not in read:
                                     deps = known[rest] = shared.setdefault(read, read)
                     except ValueError:
                         var = 0  # falls through
@@ -201,7 +207,7 @@ def parse_dqdimacs(source: str | TextIO) -> ParseResult:
                 if var in universals or var in existentials:
                     raise ParseError(f"variable {var} redeclared", lineno)
                 if head == "a":
-                    universals.add(var)
+                    universals[var] = var
                 elif head == "e":
                     existentials[var] = inherited
             if head == "d":

@@ -17,8 +17,10 @@ what it propagates; `ClauseStore.based` propagates a base on entry and
 keeps its trail for the block. A probe that needs only the conflict
 answer (`ClauseStore.refutes`) can cost less: inside `based`,
 assumptions that extend the base under the same abstraction propagate
-only what they add to the base's trail. The pass commits its rewrites
-to the store in place.
+only what they add to the base's trail. That last step is the private
+`ClauseStore._extends`, which `dqrat_plus_check` also calls directly
+with the literals a resolvent adds, once it has checked them against
+the trail itself. The pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -435,9 +437,10 @@ class ClauseStore:
         universals B may depend on; any other A is a ContractViolation.
         A is answered from B's trail: E is checked against it, only E and
         what it implies are processed, and the trail is popped back to B's,
-        the counts of `_drain` with it. Where every literal of E is
-        already on B's trail, nothing is processed and the answer is no
-        (unless B conflicts).
+        the counts of `_drain` with it (`_extends`, which
+        `dqrat_plus_check` calls without these checks where it has made
+        them itself). Where every literal of E is already on B's trail,
+        nothing is processed and the answer is no (unless B conflicts).
         The answer is the one a fresh probe of A gives:
 
         1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
@@ -493,7 +496,7 @@ class ClauseStore:
         # and the literals not on it yet, which are all `_drain` would
         # process (it skips the others)
         existentials, universals = self.prefix.existentials, self.prefix.universals
-        true, trail = self.true, self.trail
+        true = self.true
         fresh: list[int] = []
         within, clash = True, False
         for lit in assumptions:
@@ -515,12 +518,19 @@ class ClauseStore:
             raise ContractViolation("the assumptions do not extend the held base")
         if conflict or clash:
             return True
-        if not fresh:
-            return False
-        mark, live = len(trail), self.live
+        return bool(fresh) and self._extends(fresh)
+
+    def _extends(self, fresh: list[int]) -> bool:
+        """Whether the held base's trail, extended by the literals
+        `fresh`, reaches a conflict: the drain `refutes` ends with, after
+        its checks. Every literal of `fresh` must be unassigned on the
+        trail (not true, not false), and the base must not conflict. The
+        trail and the counts of `_drain` are popped back to the base's."""
+        true, trail, live = self.true, self.trail, self.live
+        mark = len(trail)
         self.live = live[:]
         try:
-            return self._drain(deque(fresh), frozenset(fresh), abstracted)
+            return self._drain(deque(fresh), frozenset(fresh), self._base[1])
         finally:
             true.difference_update(trail[mark:])
             del trail[mark:]

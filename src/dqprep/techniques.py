@@ -17,10 +17,13 @@ place (`ClauseStore.shorten`, `append`, `delete`) and exports a Dqbf at
 the end. Redundancy elimination also holds the negation of the hidden
 clause as the store's base while it tries the existential pivots: every
 outer resolvent on such a pivot extends that negation under the same
-abstraction, so the negation is propagated once per clause and each
-resolvent adds only its own literals (see `dqrat_eliminate_pass`). The
-public probes take a Dqbf, whose clause or variable they check, or the
-store of a running pass, whose canonical clauses they trust.
+abstraction, so the negation is propagated once per clause (see
+`dqrat_eliminate_pass`). Each such resolvent is answered from the
+base's trail without being built: its partner is walked once, and
+only the literals the trail leaves open are propagated (see
+`dqrat_plus_check`). The public probes take a Dqbf, whose clause or
+variable they check, or the store of a running pass, whose canonical
+clauses they trust.
 
 All passes return the rewritten formula together with a PassReport and
 leave a formula that already contains the empty clause untouched: a
@@ -32,6 +35,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
 from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key,
@@ -84,6 +88,15 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
     cid = store.find(canon)
     if cid is None:
         raise ContractViolation("clause to vivify must be in the matrix")
+    return _vivify(store, cid, budget)
+
+
+def _vivify(store: ClauseStore, cid: int, budget: int) -> VivifyResult:
+    # `vivify_clause` on the clause of this id. The empty subset probes
+    # the matrix alone, which propagates only from seeds: without a
+    # visible one it processes nothing and visits nothing, so it is
+    # answered (False, []) without propagating
+    canon = store.clauses[cid]
     if len(canon) < 2:
         return VivifyResult(VivifyKind.UNCHANGED)
     # most frequent literal first, ties by variable id
@@ -91,9 +104,12 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
     order = sorted(canon, key=lambda lit: (-len(occurrences.get(lit, ())), abs(lit)))
     steps_used = 0
     with store.hidden(cid):
+        seeded = any(store.clauses[seed] is not None for seed in store.seeds)
         for size in range(len(canon)):
             if steps_used >= budget:
                 return VivifyResult(VivifyKind.UNCHANGED)
+            if not size and not seeded:
+                continue
             subset = order[:size]
             conflict, units = store.probe([-lit for lit in subset])
             steps_used += len(units)
@@ -117,8 +133,8 @@ def vivify_pass(formula: Dqbf,
     if () in formula.matrix:
         return formula, report
     store = ClauseStore(formula)
-    for cid, clause in enumerate(store.clauses):
-        new_clause = vivify_clause(store, clause, budget).new_clause
+    for cid in range(len(store.clauses)):
+        new_clause = _vivify(store, cid, budget).new_clause
         if new_clause is None:
             continue
         store.shorten(cid, new_clause)
@@ -314,8 +330,49 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     probe without it (`ClauseStore.hidden`), since a present copy can
     make every resolvent conflict. Raises KernelUndefined for a
     universal pivot no existential depends on.
+
+    On a store that holds the clause's negation as its base (see
+    `ClauseStore.based`), an existential pivot p in the clause C is
+    answered without building the resolvents (`_redundant_on_base`): each
+    partner D is walked once, and of its literals other than -p those
+    over p's outer variables (the literals `_resolve` keeps) are looked
+    up on the base's trail T. If one of them, l, is true on T, D passes;
+    otherwise the negations of those not false on T are handed to
+    `ClauseStore._extends`, and D passes if they conflict. A partner
+    that leaves none fails. Every other case takes the general path,
+    which builds each resolvent R and asks `dqat_check`. The answers
+    agree, since for each partner the walk answers as `refutes(-R)`
+    does, and both stop at the first partner that fails:
+
+    1. -R meets the contract of `refutes`: it extends the base -C under
+       the same abstraction (`dqrat_eliminate_pass`, points 1 to 3), and
+       its literals are over the prefix, since the store's clauses are.
+       So its checks pass, and a base that conflicts answers yes to
+       every -R, as the walk does to every partner.
+    2. Otherwise T is consistent and holds -C (`refutes`, point 2), so
+       no literal of C is on T. R is C together with the kept literals
+       K of D. A literal l of K with l on T is either in -C, so that -l
+       is in C and R is a tautology, or outside it, so that -l is a
+       literal of -R beyond the base whose complement is on T, a clash,
+       and `refutes(-R)` answers yes. Either way D passes, whatever the
+       rest of K holds.
+    3. With no literal of K on T, R is no tautology, since -C lies on
+       T, and `refutes` finds no clash. The literals of -R beyond the
+       base that are not on T are the negations of the literals of K
+       whose negation is not on T: those of C are left out either way,
+       since their negations lie in -C. Both take them in D's order,
+       which is variable order, as R's is. With none left `refutes`
+       answers no, and otherwise it drains them by `_extends`, the
+       call the walk makes.
     """
-    if not isinstance(formula, ClauseStore) and pivot not in clause:
+    if isinstance(formula, ClauseStore):
+        base = formula._base
+        if (base is not None and abs(pivot) in formula.prefix.existentials
+                and pivot in clause):
+            assumed, _, conflict = base
+            if len(assumed) == len(clause) and assumed.issuperset(map(neg, clause)):
+                return conflict or _redundant_on_base(formula, pivot)
+    elif pivot not in clause:
         raise ContractViolation("pivot must occur in the clause")
     store, canon = _store_and_clause(formula, clause)
     existentials = store.prefix.existentials
@@ -338,6 +395,33 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     return True
 
 
+def _redundant_on_base(store: ClauseStore, pivot: int) -> bool:
+    # `dqrat_plus_check` on an existential pivot of the clause whose
+    # negation the store holds as its base, which does not conflict
+    existentials = store.prefix.existentials
+    target, get = existentials[abs(pivot)], existentials.get
+    clauses, true = store.clauses, store.true
+    for cid in store.occurrences.get(-pivot, ()):
+        partner = clauses[cid]
+        if partner is None:
+            continue
+        fresh: list[int] = []
+        for lit in partner:
+            if lit == -pivot:
+                continue
+            var = abs(lit)
+            deps = get(var)
+            if var in target if deps is None else deps <= target:
+                if lit in true:
+                    break  # a tautology, or a clash with the base
+                if -lit not in true:
+                    fresh.append(-lit)
+        else:
+            if not fresh or not store._extends(fresh):
+                return False
+    return True
+
+
 def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     """One elimination sweep over the matrix.
 
@@ -350,7 +434,8 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
 
     The existential pivots of a clause C are tried with the negation of
     C held as the store's base (`ClauseStore.based`), and every
-    `dqat_check` among them is answered from it. That needs each outer
+    resolvent among them is answered from it, by `dqrat_plus_check`
+    itself as `ClauseStore.refutes` would answer. That needs each outer
     resolvent R on an existential pivot p to contain C and to satisfy
     dep(R) = dep(C):
 

@@ -520,6 +520,31 @@ def test_d_lines_sharing_one_set_keep_one_set():
     assert (retained[-1] / retained[0]) ** 0.5 <= 2.5, retained
 
 
+def test_distinct_d_sets_hold_the_universals_own_ints():
+    # 1,000 `d` lines, each listing a different 999 of 1,000 universals:
+    # 1,000 distinct sets whose members are the `a` line's 1,000 ints, not
+    # 999,000 ints read one per number. The sets' hash tables take about
+    # 31 MiB and the text 3.7 MiB; an int per number read (28 bytes each,
+    # 743 per set above CPython's cached small ints) would add 20 MiB, and
+    # the peak was 59 MiB when it did
+    k = 1000
+    everyone = range(1, k + 1)
+    text = "".join([f"p cnf {2 * k} 0\na {' '.join(map(str, everyone))} 0\n",
+                    *(f"d {k + y} {' '.join(str(u) for u in everyone if u != y)} 0\n"
+                      for y in everyone)])
+    tracemalloc.start()
+    try:
+        prefix = parse_dqdimacs(text).formula.prefix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = {u: u for u in prefix.universals}
+    assert len(set(map(id, prefix.existentials.values()))) == k
+    assert all(u is own[u] for deps in prefix.existentials.values() for u in deps)
+    assert prefix.existentials[k + 1] == set(everyone) - {1}
+    assert peak < 48 * 2**20, peak / 2**20
+
+
 def test_e_lines_and_free_variables_share_their_sets():
     text = "p cnf 7 1\na 1 0\ne 2 0\ne 3 0\nd 4 1 0\nd 5 0\n2 6 7 0\n"
     e = parse_dqdimacs(text).formula.prefix.existentials

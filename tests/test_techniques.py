@@ -17,7 +17,8 @@ from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
                     upla_probe, vivify_clause, vivify_pass)
 from dqprep import techniques
 from dqprep.propagation import ClauseStore
-from dqprep.techniques import _resolve
+from dqprep.reports import PassReport
+from dqprep.techniques import DEFAULT_VIVIFY_BUDGET, _resolve
 
 
 def flat(n):
@@ -118,6 +119,67 @@ def test_vivify_pass_preserves_equivalence_and_size(formula):
     assert equivalent(formula, out)
     assert (sum(len(c) for c in out.matrix)
             <= sum(len(c) for c in formula.matrix))
+
+
+def per_clause_vivify_pass(formula, budget):
+    # `vivify_pass` through the public `vivify_clause`, clause by clause
+    report = PassReport("vivify")
+    if () in formula.matrix:
+        return formula, report
+    store = ClauseStore(formula)
+    for cid, clause in enumerate(store.clauses):
+        new_clause = vivify_clause(store, clause, budget).new_clause
+        if new_clause is None:
+            continue
+        store.shorten(cid, new_clause)
+        if new_clause == ():
+            report.conflicts += 1
+            break
+        report.clauses_shortened += 1
+    return store.formula(), report
+
+
+@given(formulas(), st.sampled_from([0, 1, 2, DEFAULT_VIVIFY_BUDGET]))
+def test_vivify_pass_matches_per_clause_vivify(formula, budget):
+    assert vivify_pass(formula, budget) == per_clause_vivify_pass(formula, budget)
+
+
+def test_vivify_pass_matches_per_clause_vivify_on_fuzz_stream():
+    changed = 0
+    for formula in fuzz(37, 300, FuzzBounds(4, 6, 14, 4)):
+        for budget in (0, 1, DEFAULT_VIVIFY_BUDGET):
+            out = vivify_pass(formula, budget)
+            assert out == per_clause_vivify_pass(formula, budget)
+            changed += out[1].changed
+    assert changed > 50
+
+
+def test_vivify_probes_the_matrix_alone_only_with_a_visible_seed(monkeypatch):
+    # the empty subset of a clause probes the matrix alone, which without
+    # a visible seed propagates nothing; universal 1, existential 2 not
+    # depending on it, so (1, 2) reduces to (2) and is a seed
+    prefix = u_e({1}, {2: frozenset(), 3: frozenset(), 4: frozenset()})
+    probed = []
+    propagate = ClauseStore._propagate
+
+    def noting_propagate(self, assumptions, abstracted):
+        probed.append(assumptions)
+        return propagate(self, assumptions, abstracted)
+
+    monkeypatch.setattr(ClauseStore, "_propagate", noting_propagate)
+    cases = (((2, 3), (-3, 4)), ((1, 2), (-2, 3, 4)), ((2,), (-2, 3, 4)))
+    for matrix, alone in zip(cases, (False, True, True)):
+        probed.clear()
+        vivify_pass(Dqbf(prefix, matrix))
+        assert probed and (() in probed) == alone
+    # (1, 2) itself, hidden while it is vivified, probes no empty subset;
+    # (-2, 3, 4) sees it
+    probed.clear()
+    assert vivify_clause(Dqbf(prefix, cases[1]), (1, 2)).kind is VivifyKind.UNCHANGED
+    assert () not in probed
+    probed.clear()
+    vivify_clause(Dqbf(prefix, cases[1]), (-2, 3, 4))
+    assert probed[0] == ()
 
 
 # -- polarity lookahead -----------------------------------------------------
@@ -455,6 +517,68 @@ def test_dqrat_check_matches_reference_on_fuzz_stream():
     assert seen == {True, False, KernelUndefined}
 
 
+def partners(store, pivot):
+    return [store.clauses[cid] for cid in store.occurrences.get(-pivot, ())
+            if store.clauses[cid] is not None]
+
+
+def settled_on_base(store, clause, resolvent):
+    # how `dqrat_plus_check` inside the base -clause settles the resolvent
+    # on an existential pivot without propagating, or None where it
+    # extends the base's trail by the resolvent's negation
+    if resolvent is TAUTOLOGY:
+        return "tautology"
+    if store._base[2]:
+        return "conflicting base"
+    added = [lit for lit in resolvent if lit not in clause]
+    if any(lit in store.true for lit in added):
+        return "clash"
+    if all(-lit in store.true for lit in added):
+        return "nothing new"
+    return None
+
+
+def assert_based_checks_match(formula, reached):
+    # for every clause and existential pivot: the check inside the base of
+    # the clause's negation, the same check without a base, and the
+    # reference on the rest of the matrix. `reached` counts the cases of
+    # the resolvents the based check looks at, in its order, until one
+    # fails
+    store = ClauseStore(formula)
+    existentials = formula.prefix.existentials
+    for cid, clause in enumerate(formula.matrix):
+        rest = Dqbf(formula.prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
+        pivots = [lit for lit in clause if abs(lit) in existentials]
+        with store.hidden(cid):
+            without = [dqrat_plus_check(store, clause, p) for p in pivots]
+            with store.based([-lit for lit in clause]):
+                based = [dqrat_plus_check(store, clause, p) for p in pivots]
+                for pivot in pivots:
+                    for partner in partners(store, pivot):
+                        resolvent = _resolve(clause, partner, pivot,
+                                             existentials, None)
+                        case = settled_on_base(store, clause, resolvent)
+                        reached[case or "extension"] += 1
+                        if case == "nothing new" or case is None and not store.refutes(
+                                [-lit for lit in resolvent]):
+                            break
+        assert based == without == [reference_dqrat_plus_check(rest, clause, p)
+                                    for p in pivots]
+
+
+@given(formulas())
+def test_dqrat_check_inside_a_base_matches_without_and_reference(formula):
+    assert_based_checks_match(formula, Counter())
+
+
+def test_dqrat_check_inside_a_base_matches_on_fuzz_stream():
+    reached = Counter()
+    for formula in fuzz(17, 400, FuzzBounds(4, 6, 14, 4)):
+        assert_based_checks_match(formula, reached)
+    assert set(reached) == {"conflicting base", "tautology", "clash",
+                            "nothing new", "extension"}, reached
+
+
 def assert_store_probes_match_dqbf(formula):
     # each probe on one store of the formula, which takes the clause as
     # canonical, against the same probe on the formula, which checks it;
@@ -543,40 +667,68 @@ def test_dqrat_pass_propagates_each_clause_once_for_its_existential_pivots(
         monkeypatch):
     # counted where the resolvents are checked; a pass that propagates
     # each resolvent of an existential pivot from an empty trail makes
-    # one full propagation per resolvent
+    # one full propagation per resolvent. Inside the base, a resolvent on
+    # an existential pivot is checked by extending the base's trail
+    # (`ClauseStore._extends`) or settled without propagating; those on
+    # a universal pivot go to `dqat_check`
     existentials = PIVOTED.prefix.existentials
     for clause in PIVOTED.matrix:
         assert sum(1 for lit in clause if abs(lit) in existentials
                    and sum(-lit in c for c in PIVOTED.matrix) >= 2) >= 2
-    counts, examined, pivots = Counter(), set(), []
-    propagate, check, dqat = (ClauseStore._propagate, techniques.dqrat_plus_check,
-                              techniques.dqat_check)
+    counts, examined, extensions = Counter(), set(), []
+    propagate, extends, check, dqat = (
+        ClauseStore._propagate, ClauseStore._extends,
+        techniques.dqrat_plus_check, techniques.dqat_check)
 
     def counting_propagate(self, *args):
         counts["propagate"] += 1
         return propagate(self, *args)
 
+    def noting_extends(self, fresh):
+        refuted = extends(self, fresh)
+        extensions.append(refuted)
+        return refuted
+
     def noting_check(store, clause, pivot):
-        existential = abs(pivot) in existentials
-        if existential:
-            examined.add(clause)
-        pivots.append(existential)
-        try:
-            return check(store, clause, pivot)
-        finally:
-            pivots.pop()
+        mark = len(extensions)
+        verdict = check(store, clause, pivot)
+        if abs(pivot) not in existentials:
+            return verdict
+        examined.add(clause)
+        # the partners in the order the check walks them, until one fails:
+        # each settled on the base's trail, or by the next extension made
+        made = iter(extensions[mark:])
+        for partner in partners(store, pivot):
+            resolvent = _resolve(clause, partner, pivot, existentials, None)
+            case = settled_on_base(store, clause, resolvent)
+            counts[case or "extension"] += 1
+            if case == "nothing new" or case is None and not next(made):
+                assert not verdict
+                break
+        else:
+            assert verdict
+        assert next(made, None) is None
+        return verdict
 
     def counting_dqat(store, clause):
-        counts["existential" if pivots[-1] else "universal"] += 1
+        counts["universal"] += 1
         return dqat(store, clause)
 
     monkeypatch.setattr(ClauseStore, "_propagate", counting_propagate)
+    monkeypatch.setattr(ClauseStore, "_extends", noting_extends)
     monkeypatch.setattr(techniques, "dqrat_plus_check", noting_check)
     monkeypatch.setattr(techniques, "dqat_check", counting_dqat)
     out, report = dqrat_eliminate_pass(PIVOTED)
     assert report.clauses_removed == 2 and counts["universal"] == 2
-    # the resolvents one propagation per resolvent would pay for
-    assert counts["existential"] >= 2 * len(examined) == 20
+    # the resolvents one propagation per resolvent would pay for: each
+    # checked by an extension, or settled on the base's trail as a
+    # tautology, a clash or a resolvent that adds nothing to it, or by a
+    # base that conflicts
+    assert counts["extension"] == len(extensions)
+    assert (sum(counts[kind] for kind in
+                ("extension", "tautology", "conflicting base", "clash",
+                 "nothing new"))
+            >= 2 * len(examined) == 20)
     assert counts["propagate"] <= len(examined) + counts["universal"]
 
 
