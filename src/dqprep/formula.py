@@ -201,36 +201,21 @@ def dep(scope: Dqbf | Prefix, target: int | Iterable[int]) -> frozenset[int]:
 
     A universal variable depends on itself, an existential carries its
     declared set, a literal inherits from its variable, and a clause is
-    the union over its literals. Where that union is one dependency set
-    of the prefix, as for a single existential or for existentials that
-    share one set, it is that set object itself.
+    the union over its literals.
     """
     prefix = scope.prefix if isinstance(scope, Dqbf) else scope
     universals, existentials = prefix.universals, prefix.existentials
     if isinstance(target, int):
         target = (target,)
-    # `held` is the last nonempty set seen: a literal with that same
-    # object, common as a prefix shares equal sets, adds nothing, and the
-    # union is built only once a second set or a universal is seen
-    held: frozenset[int] | None = None
-    out: set[int] | None = None
+    out: set[int] = set()
     for lit in target:
         var = abs(int(lit))
-        deps = existentials.get(var)
-        if deps is None:
-            if var not in universals:
-                raise CompatibilityError(f"variable {var} is not in the prefix")
-            if out is None:
-                out = set(held or ())
+        if var in universals:
             out.add(var)
-        elif deps is not held and deps:
-            if out is None and held is not None:
-                out = set(held)
-            if out is not None:
-                out.update(deps)
-            held = deps
-    if out is None:
-        return held if held is not None else frozenset()
+        elif var in existentials:
+            out.update(existentials[var])
+        else:
+            raise CompatibilityError(f"variable {var} is not in the prefix")
     return frozenset(out)
 
 

@@ -18,9 +18,11 @@ keeps its trail for the block. A probe that needs only the conflict
 answer (`ClauseStore.refutes`) can cost less: inside `based`,
 assumptions that extend the base under the same abstraction propagate
 only what they add to the base's trail. That last step is the private
-`ClauseStore._extends`, which `dqrat_plus_check` also calls directly
-with the literals a resolvent adds, once it has checked them against
-the trail itself. The pass commits its rewrites to the store in place.
+`ClauseStore._extends`. Where the base is a clause's negation,
+`dqrat_plus_check` on an existential pivot goes to the private
+`ClauseStore._refutes_resolvents`, which checks each resolvent's
+literals against the trail itself and hands only those it leaves open
+to `_extends`. The pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -438,9 +440,9 @@ class ClauseStore:
         A is answered from B's trail: E is checked against it, only E and
         what it implies are processed, and the trail is popped back to B's,
         the counts of `_drain` with it (`_extends`, which
-        `dqrat_plus_check` calls without these checks where it has made
-        them itself). Where every literal of E is already on B's trail,
-        nothing is processed and the answer is no (unless B conflicts).
+        `_refutes_resolvents` calls after checks of its own). Where
+        every literal of E is already on B's trail, nothing is processed
+        and the answer is no (unless B conflicts).
         The answer is the one a fresh probe of A gives:
 
         1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
@@ -535,6 +537,52 @@ class ClauseStore:
             true.difference_update(trail[mark:])
             del trail[mark:]
             self.live = live
+
+    def _refutes_resolvents(self, clause: Clause, pivot: int,
+                            target: frozenset[int]) -> bool | None:
+        """`dqrat_plus_check` of the clause on the existential pivot,
+        whose dependency set is `target`, answered from the held base's
+        trail without building the resolvents; None where no base is
+        held or the base is not exactly the clause's negation. Each
+        partner, a visible clause with -pivot, is walked once: of its
+        other literals, those over the pivot's outer variables (a
+        universal in `target`, an existential whose set lies in it) are
+        looked up on the trail. One that is true there settles the
+        partner: the resolvent is a tautology, or its negation clashes
+        with the trail. Otherwise the negations of those not false there
+        go to `_extends`, and a partner that leaves none, or whose
+        extension does not conflict, answers no. `dqrat_plus_check`'s
+        docstring proves that each partner is answered as `refutes`
+        answers the resolvent's negation."""
+        base = self._base
+        if base is None:
+            return None
+        assumed, _, conflict = base
+        if len(assumed) != len(clause) or not assumed.issuperset(map(neg, clause)):
+            return None
+        if conflict:
+            return True
+        get = self.prefix.existentials.get
+        clauses, true = self.clauses, self.true
+        for cid in self.occurrences.get(-pivot, ()):
+            partner = clauses[cid]
+            if partner is None:
+                continue
+            fresh: list[int] = []
+            for lit in partner:
+                if lit == -pivot:
+                    continue
+                var = abs(lit)
+                deps = get(var)
+                if var in target if deps is None else deps <= target:
+                    if lit in true:
+                        break  # a tautology, or a clash with the base
+                    if -lit not in true:
+                        fresh.append(-lit)
+            else:
+                if not fresh or not self._extends(fresh):
+                    return False
+        return True
 
     def outcome(self) -> PropagationOutcome:
         """Probe the matrix alone and report the fixpoint formula:

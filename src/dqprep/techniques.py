@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import neg
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
 from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, literal_key,
@@ -88,15 +87,6 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
     cid = store.find(canon)
     if cid is None:
         raise ContractViolation("clause to vivify must be in the matrix")
-    return _vivify(store, cid, budget)
-
-
-def _vivify(store: ClauseStore, cid: int, budget: int) -> VivifyResult:
-    # `vivify_clause` on the clause of this id. The empty subset probes
-    # the matrix alone, which propagates only from seeds: without a
-    # visible one it processes nothing and visits nothing, so it is
-    # answered (False, []) without propagating
-    canon = store.clauses[cid]
     if len(canon) < 2:
         return VivifyResult(VivifyKind.UNCHANGED)
     # most frequent literal first, ties by variable id
@@ -104,6 +94,9 @@ def _vivify(store: ClauseStore, cid: int, budget: int) -> VivifyResult:
     order = sorted(canon, key=lambda lit: (-len(occurrences.get(lit, ())), abs(lit)))
     steps_used = 0
     with store.hidden(cid):
+        # the empty subset probes the matrix alone, which propagates only
+        # from seeds: without a visible one it processes nothing, and its
+        # answer is (False, [])
         seeded = any(store.clauses[seed] is not None for seed in store.seeds)
         for size in range(len(canon)):
             if steps_used >= budget:
@@ -133,8 +126,8 @@ def vivify_pass(formula: Dqbf,
     if () in formula.matrix:
         return formula, report
     store = ClauseStore(formula)
-    for cid in range(len(store.clauses)):
-        new_clause = _vivify(store, cid, budget).new_clause
+    for cid, clause in enumerate(store.clauses):
+        new_clause = vivify_clause(store, clause, budget).new_clause
         if new_clause is None:
             continue
         store.shorten(cid, new_clause)
@@ -333,10 +326,10 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
 
     On a store that holds the clause's negation as its base (see
     `ClauseStore.based`), an existential pivot p in the clause C is
-    answered without building the resolvents (`_redundant_on_base`): each
-    partner D is walked once, and of its literals other than -p those
-    over p's outer variables (the literals `_resolve` keeps) are looked
-    up on the base's trail T. If one of them, l, is true on T, D passes;
+    answered without building the resolvents
+    (`ClauseStore._refutes_resolvents`): each partner D is walked once,
+    and of its literals other than -p those over p's outer variables
+    (the literals `_resolve` keeps) are looked up on the base's trail T. If one of them, l, is true on T, D passes;
     otherwise the negations of those not false on T are handed to
     `ClauseStore._extends`, and D passes if they conflict. A partner
     that leaves none fails. Every other case takes the general path,
@@ -366,12 +359,11 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
        call the walk makes.
     """
     if isinstance(formula, ClauseStore):
-        base = formula._base
-        if (base is not None and abs(pivot) in formula.prefix.existentials
-                and pivot in clause):
-            assumed, _, conflict = base
-            if len(assumed) == len(clause) and assumed.issuperset(map(neg, clause)):
-                return conflict or _redundant_on_base(formula, pivot)
+        target = formula.prefix.existentials.get(abs(pivot))
+        if target is not None and pivot in clause:
+            answer = formula._refutes_resolvents(clause, pivot, target)
+            if answer is not None:
+                return answer
     elif pivot not in clause:
         raise ContractViolation("pivot must occur in the clause")
     store, canon = _store_and_clause(formula, clause)
@@ -392,33 +384,6 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
             continue
         if not dqat_check(store, resolvent):
             return False
-    return True
-
-
-def _redundant_on_base(store: ClauseStore, pivot: int) -> bool:
-    # `dqrat_plus_check` on an existential pivot of the clause whose
-    # negation the store holds as its base, which does not conflict
-    existentials = store.prefix.existentials
-    target, get = existentials[abs(pivot)], existentials.get
-    clauses, true = store.clauses, store.true
-    for cid in store.occurrences.get(-pivot, ()):
-        partner = clauses[cid]
-        if partner is None:
-            continue
-        fresh: list[int] = []
-        for lit in partner:
-            if lit == -pivot:
-                continue
-            var = abs(lit)
-            deps = get(var)
-            if var in target if deps is None else deps <= target:
-                if lit in true:
-                    break  # a tautology, or a clash with the base
-                if -lit not in true:
-                    fresh.append(-lit)
-        else:
-            if not fresh or not store._extends(fresh):
-                return False
     return True
 
 

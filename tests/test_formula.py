@@ -145,52 +145,6 @@ def test_dep_unknown_variable():
         dep(p, 9)
 
 
-def test_dep_of_one_set_is_that_set():
-    # the same set object from one existential, from several sharing it,
-    # and with existentials whose set is empty; a universal or a second
-    # set builds a new one
-    shared, other = frozenset({1}), frozenset({2})
-    p = Prefix._trusted(frozenset({1, 2}),
-                        {3: shared, 4: shared, 5: frozenset(), 6: other})
-    for target in (3, -3, (3, -4), (5, 3, -5, 4)):
-        assert dep(p, target) is shared
-    assert dep(p, (3, 1)) == {1} and dep(p, (3, 1)) is not shared
-    assert dep(p, (3, 6)) == {1, 2}
-    assert dep(p, 5) == frozenset()
-
-
-def test_dep_reports_an_undeclared_variable_after_any_set():
-    p = Prefix(frozenset({1, 2}), {3: frozenset({1}), 4: frozenset({2})})
-    for clause in ((3, 9), (3, 3, 9), (3, 4, 9), (1, 9), (9, 3)):
-        with pytest.raises(CompatibilityError):
-            dep(p, clause)
-
-
-def union_dep(prefix, clause):
-    # `dep` as a plain union over the literals
-    out = set()
-    for lit in clause:
-        var = abs(lit)
-        if var in prefix.universals:
-            out.add(var)
-        elif var in prefix.existentials:
-            out.update(prefix.existentials[var])
-        else:
-            raise CompatibilityError(var)
-    return frozenset(out)
-
-
-@given(formulas())
-def test_dep_equals_the_union_on_every_clause_and_pair(formula):
-    prefix = formula.prefix
-    variables = sorted(prefix.variables)
-    targets = [*formula.matrix, *((v,) for v in variables),
-               *((v, -w) for v in variables for w in variables)]
-    for target in targets:
-        got = dep(prefix, target)
-        assert type(got) is frozenset and got == union_dep(prefix, target)
-
-
 @given(formulas())
 def test_dep_clause_equals_literal_union(formula):
     for clause in formula.matrix:
