@@ -14,15 +14,12 @@ places, and each abstracts every universal its assumptions may depend
 on, so no caller chooses an abstraction: `ClauseStore.probe` propagates
 the assumptions, reads the trail and takes it back, so a probe costs
 what it propagates; `ClauseStore.based` propagates a base on entry and
-keeps its trail for the block. A probe that needs only the conflict
-answer (`ClauseStore.refutes`) can cost less: inside `based`,
-assumptions that extend the base under the same abstraction propagate
-only what they add to the base's trail. That last step is the private
-`ClauseStore._extends`. Where the base is a clause's negation,
-`dqrat_plus_check` on an existential pivot goes to the private
-`ClauseStore._refutes_resolvents`, which checks each resolvent's
-literals against the trail itself and hands only those it leaves open
-to `_extends`. The pass commits its rewrites to the store in place.
+keeps its trail for the block. `dqrat_plus_check` on an existential
+pivot asks the private `ClauseStore._refutes_resolvents`, which holds
+the clause's negation as the base unless the pass holds it, checks
+each resolvent's literals against the base's trail, and hands those
+it leaves open to the private `ClauseStore._extends`, which propagates
+only what they add. The pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -180,7 +177,7 @@ class ClauseStore:
     `visits` counts the clauses propagation has examined over the
     store's lifetime, those settled by their counts without a scan
     included (see `_drain`). Inside `based`, the store holds a base
-    (assumptions, propagated on entry, whose trail `refutes` extends)
+    (assumptions, propagated on entry, whose trail `_extends` extends)
     and must not be rewritten.
     """
 
@@ -351,7 +348,7 @@ class ClauseStore:
            `width`, and a processed universal takes nothing off.
         3. The hidden status of a clause does not change during a
            propagation: a `hidden` block encloses a whole probe or base,
-           or lies inside a base, where `refutes` pops what it processed
+           or lies inside a base, where `_extends` pops what it processed
            before the block ends. So every falsified existential literal
            of a visible clause was taken off, on the visit its
            processing made.
@@ -361,7 +358,7 @@ class ClauseStore:
         the clause holds a true literal, or `_unit` finds two open ones
         and returns None. The visit is counted in `visits` either way,
         and nothing is queued, so the trail is the one the scans give.
-        `refutes` restores `live` with the trail.
+        `_extends` restores the base's `live` with its trail.
         """
         existentials = self.prefix.existentials
         clauses, occurrences = self.clauses, self.occurrences
@@ -396,7 +393,7 @@ class ClauseStore:
     def _unheld(self) -> None:
         # probes that report a trail start from an empty one
         if self._base is not None:
-            raise ContractViolation("a base is held; only `refutes` may probe")
+            raise ContractViolation("a base is held; no probe may start")
 
     def probe(self, assumptions: Iterable[int]) -> tuple[bool, list[int]]:
         """Propagate the assumptions with every universal they may depend
@@ -416,8 +413,8 @@ class ClauseStore:
     def based(self, assumptions: Iterable[int]) -> Iterator[None]:
         """Hold the assumptions as a base inside the block: they propagate
         on entry, as `probe` propagates them, and their trail stays on
-        the store, from which `refutes` answers assumptions that extend
-        them. The trail is empty again when the block is left."""
+        the store, which `_extends` extends. The trail is empty again
+        when the block is left."""
         self._unheld()
         assumptions = tuple(assumptions)
         abstracted = dep(self.prefix, assumptions)
@@ -430,23 +427,15 @@ class ClauseStore:
             self.true.clear()
             self.trail.clear()
 
-    def refutes(self, assumptions: Iterable[int]) -> bool:
-        """Whether probing the assumptions conflicts: the first field of
-        `probe(assumptions)`, leaving the trail as it was.
+    def _extends(self, fresh: list[int]) -> bool:
+        """Whether the held base B, extended by the literals E in `fresh`,
+        propagates to a conflict, as a fresh `probe` of A = B + E does.
+        Only E and what it implies are processed, and the trail and the
+        counts of `_drain` are popped back to B's. B must not conflict,
+        no literal of E may be assigned on B's trail, and E must depend
+        only on universals B may depend on, so that dep(A) = dep(B):
 
-        With a base B held (see `based`), the assumptions A must extend
-        it: contain B, with their other literals E depending only on
-        universals B may depend on; any other A is a ContractViolation.
-        A is answered from B's trail: E is checked against it, only E and
-        what it implies are processed, and the trail is popped back to B's,
-        the counts of `_drain` with it (`_extends`, which
-        `_refutes_resolvents` calls after checks of its own). Where
-        every literal of E is already on B's trail, nothing is processed
-        and the answer is no (unless B conflicts).
-        The answer is the one a fresh probe of A gives:
-
-        1. The abstraction is the same: dep(A) = dep(B) | dep(E) = dep(B).
-        2. Whether propagation conflicts does not depend on the order in
+        1. Whether propagation conflicts does not depend on the order in
            which it processes literals. Call a sequence of literals a
            derivation from A if each is in A or is the unit `_unit` finds
            in some clause under the literals before it; it is refuting if
@@ -472,62 +461,17 @@ class ClauseStore:
            monotonicity every derivation from A stays inside T, so none
            is refuting. A conflict is therefore a property of A and the
            abstraction, reached in any order.
-        3. Extending B's trail, which `based` propagated on entry: it is
-           a derivation from B, hence from A, so a base conflict answers
-           yes. Otherwise B lies in the base assignment, which satisfies
-           the end conditions of point 2 for B; an extra literal whose
-           complement is already assigned is a refuting derivation, and
-           every universal of E is abstracted by point 1. Draining E
-           from there visits every clause a new literal falsifies, and a
-           new literal whose complement is in B is never processed, since
-           B is assigned; so the run ends in a refuting derivation from A
-           or in the end conditions of point 2 for A, and answers as a
-           fresh probe does. Where E lies on the trail, nothing new is
-           processed, and the base assignment, which holds A, meets the
-           end conditions for A as it does for B.
+        2. B's trail, which `based` propagated on entry, is a derivation
+           from B, hence from A = B + E, and as B does not conflict, its
+           assignment meets the end conditions of point 1 for B. Draining
+           E from there continues that propagation, its counts included
+           (`live` goes on from the base's, not from `width`), so it
+           visits every clause a new literal falsifies; and a new literal
+           whose complement is in B is never processed, since B is
+           assigned. The run therefore ends in a refuting derivation from
+           A or in the end conditions of point 1 for A, and answers as a
+           fresh probe does.
         """
-        if self._base is None:
-            return self.probe(assumptions)[0]
-        assumed, abstracted, conflict = self._base
-        assumptions = tuple(assumptions)
-        if not assumed.issubset(assumptions):
-            raise ContractViolation("the assumptions do not extend the held base")
-        # one scan of E: dep(E) <= dep(B) literal by literal, an undeclared
-        # variable reported before a dependency outside the abstraction;
-        # whether a literal of E has its complement on the base's trail;
-        # and the literals not on it yet, which are all `_drain` would
-        # process (it skips the others)
-        existentials, universals = self.prefix.existentials, self.prefix.universals
-        true = self.true
-        fresh: list[int] = []
-        within, clash = True, False
-        for lit in assumptions:
-            if lit in assumed:
-                continue
-            var = abs(lit)
-            deps = existentials.get(var)
-            if deps is not None:
-                within = within and deps <= abstracted
-            elif var in universals:
-                within = within and var in abstracted
-            else:
-                raise CompatibilityError(f"variable {var} is not in the prefix")
-            if -lit in true:
-                clash = True
-            elif lit not in true:
-                fresh.append(lit)
-        if not within:
-            raise ContractViolation("the assumptions do not extend the held base")
-        if conflict or clash:
-            return True
-        return bool(fresh) and self._extends(fresh)
-
-    def _extends(self, fresh: list[int]) -> bool:
-        """Whether the held base's trail, extended by the literals
-        `fresh`, reaches a conflict: the drain `refutes` ends with, after
-        its checks. Every literal of `fresh` must be unassigned on the
-        trail (not true, not false), and the base must not conflict. The
-        trail and the counts of `_drain` are popped back to the base's."""
         true, trail, live = self.true, self.trail, self.live
         mark = len(trail)
         self.live = live[:]
@@ -539,27 +483,27 @@ class ClauseStore:
             self.live = live
 
     def _refutes_resolvents(self, clause: Clause, pivot: int,
-                            target: frozenset[int]) -> bool | None:
-        """`dqrat_plus_check` of the clause on the existential pivot,
-        whose dependency set is `target`, answered from the held base's
-        trail without building the resolvents; None where no base is
-        held or the base is not exactly the clause's negation. Each
-        partner, a visible clause with -pivot, is walked once: of its
-        other literals, those over the pivot's outer variables (a
-        universal in `target`, an existential whose set lies in it) are
-        looked up on the trail. One that is true there settles the
-        partner: the resolvent is a tautology, or its negation clashes
+                            target: frozenset[int]) -> bool:
+        """`dqrat_plus_check` of the clause C on the existential pivot,
+        whose dependency set is `target`, answered from the trail of the
+        base -C without building the resolvents. Where no base is held,
+        -C is held for the call; a held base other than exactly -C is a
+        ContractViolation. Each partner, a visible clause with -pivot, is
+        walked once: of its other literals, those over the pivot's outer
+        variables (a universal in `target`, an existential whose set lies
+        in it) are looked up on the trail. One that is true there settles
+        the partner: the resolvent is a tautology, or its negation clashes
         with the trail. Otherwise the negations of those not false there
         go to `_extends`, and a partner that leaves none, or whose
         extension does not conflict, answers no. `dqrat_plus_check`'s
-        docstring proves that each partner is answered as `refutes`
-        answers the resolvent's negation."""
-        base = self._base
-        if base is None:
-            return None
-        assumed, _, conflict = base
+        docstring proves that each partner is answered as a fresh probe
+        of the resolvent's negation is."""
+        if self._base is None:
+            with self.based([-lit for lit in clause]):
+                return self._refutes_resolvents(clause, pivot, target)
+        assumed, _, conflict = self._base
         if len(assumed) != len(clause) or not assumed.issuperset(map(neg, clause)):
-            return None
+            raise ContractViolation("the held base is not the clause's negation")
         if conflict:
             return True
         get = self.prefix.existentials.get
@@ -665,10 +609,8 @@ def dqat_check(formula: Dqbf | ClauseStore, clause: Iterable[int]) -> bool:
     without changing the set of Skolem functions. The answer is about the
     matrix as given: a present copy refutes its own negation, so to
     delete a clause, probe without it (`ClauseStore.hidden`). A
-    ClauseStore is probed in place; inside
-    `ClauseStore.based`, the clause's negation must extend the base
-    under the same abstraction, and it propagates only what it adds to
-    the base.
+    ClauseStore is probed in place, and not inside `ClauseStore.based`,
+    where `probe` raises ContractViolation.
     """
     store, canon = _store_and_clause(formula, clause)
-    return store.refutes([-lit for lit in canon])
+    return store.probe([-lit for lit in canon])[0]

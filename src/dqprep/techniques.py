@@ -33,7 +33,6 @@ refutation is final, rewriting past it only churns.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, ContractViolation, KernelUndefined
@@ -282,33 +281,17 @@ def outer_resolvent(prefix: Prefix, first: Clause, second: Clause,
 
 
 def _resolve(canon: Clause, partner: Clause, pivot: int,
-             existentials: Mapping[int, frozenset[int]],
-             outer: frozenset[int] | None) -> Clause | object:
-    # `outer_resolvent` of two canonical clauses over a prefix with these
-    # existentials, given the outer set of a universal pivot, or None for
-    # an existential pivot p. For p the set is not built: a partner
-    # literal over v is kept if v is a universal in deps(p) or an
-    # existential with deps(v) <= deps(p), which is membership in
-    # `outer_variables(prefix, p).outer`. A literal in both parts is kept
-    # once, and opposite literals make it a tautology.
+             outer: frozenset[int]) -> Clause | object:
+    # `outer_resolvent` of two canonical clauses on a universal pivot,
+    # given its outer set. A literal in both parts is kept once, and
+    # opposite literals make it a tautology.
     kept = set(canon)
-    if outer is None:
-        target = existentials[abs(pivot)]
-        get = existentials.get
-        for lit in partner:
-            var = abs(lit)
-            deps = get(var)
-            if lit != -pivot and (var in target if deps is None else deps <= target):
-                if -lit in kept:
-                    return TAUTOLOGY
-                kept.add(lit)
-    else:
-        kept.discard(pivot)
-        for lit in partner:
-            if abs(lit) in outer:
-                if -lit in kept:
-                    return TAUTOLOGY
-                kept.add(lit)
+    kept.discard(pivot)
+    for lit in partner:
+        if abs(lit) in outer:
+            if -lit in kept:
+                return TAUTOLOGY
+            kept.add(lit)
     return tuple(sorted(kept, key=abs))
 
 
@@ -321,68 +304,64 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     its negation under abstraction must conflict. The answer is about
     the matrix as given, as `dqat_check`'s is: to delete the clause,
     probe without it (`ClauseStore.hidden`), since a present copy can
-    make every resolvent conflict. Raises KernelUndefined for a
-    universal pivot no existential depends on.
+    make every resolvent conflict. Raises ContractViolation for a pivot
+    not in the clause, and KernelUndefined for a universal pivot no
+    existential depends on.
 
-    On a store that holds the clause's negation as its base (see
-    `ClauseStore.based`), an existential pivot p in the clause C is
-    answered without building the resolvents
-    (`ClauseStore._refutes_resolvents`): each partner D is walked once,
-    and of its literals other than -p those over p's outer variables
-    (the literals `_resolve` keeps) are looked up on the base's trail T. If one of them, l, is true on T, D passes;
+    A universal pivot's resolvents are built one partner at a time and
+    each is handed to `dqat_check`. An existential pivot p of the clause
+    C is answered from the trail T of the base -C (`ClauseStore.based`,
+    held by `dqrat_eliminate_pass` or else by the store for the call),
+    without building the resolvents (`ClauseStore._refutes_resolvents`):
+    each partner D is walked once, and of its literals other than -p
+    those over p's outer variables (the literals `outer_resolvent`
+    keeps) are looked up on T. If one of them is true on T, D passes;
     otherwise the negations of those not false on T are handed to
     `ClauseStore._extends`, and D passes if they conflict. A partner
-    that leaves none fails. Every other case takes the general path,
-    which builds each resolvent R and asks `dqat_check`. The answers
-    agree, since for each partner the walk answers as `refutes(-R)`
-    does, and both stop at the first partner that fails:
+    that leaves none fails. For each partner the walk answers as a
+    fresh probe of the resolvent's negation -R does, and both stop at
+    the first partner that fails:
 
-    1. -R meets the contract of `refutes`: it extends the base -C under
-       the same abstraction (`dqrat_eliminate_pass`, points 1 to 3), and
-       its literals are over the prefix, since the store's clauses are.
-       So its checks pass, and a base that conflicts answers yes to
-       every -R, as the walk does to every partner.
-    2. Otherwise T is consistent and holds -C (`refutes`, point 2), so
+    1. -R extends the base -C under the same abstraction
+       (`dqrat_eliminate_pass`, points 1 to 3), as `_extends` requires.
+       A base that conflicts gives a refuting derivation from -C, hence
+       from every -R (`_extends`, points 1 and 2), so the probe answers
+       yes to every -R, as the walk does to every partner.
+    2. Otherwise T is consistent and holds -C (`_extends`, point 1), so
        no literal of C is on T. R is C together with the kept literals
        K of D. A literal l of K with l on T is either in -C, so that -l
        is in C and R is a tautology, or outside it, so that -l is a
-       literal of -R beyond the base whose complement is on T, a clash,
-       and `refutes(-R)` answers yes. Either way D passes, whatever the
-       rest of K holds.
+       literal of -R beyond the base whose complement is on T, which
+       makes T with -l a refuting derivation from -R, so the probe
+       answers yes. Either way D passes, whatever the rest of K holds.
     3. With no literal of K on T, R is no tautology, since -C lies on
-       T, and `refutes` finds no clash. The literals of -R beyond the
-       base that are not on T are the negations of the literals of K
-       whose negation is not on T: those of C are left out either way,
-       since their negations lie in -C. Both take them in D's order,
-       which is variable order, as R's is. With none left `refutes`
-       answers no, and otherwise it drains them by `_extends`, the
-       call the walk makes.
+       T. The literals of -R beyond the base that are not on T are the
+       negations of the literals of K whose negation is not on T: those
+       of C are left out either way, since their negations lie in -C.
+       With none left, T meets the end conditions of `_extends`' point
+       1 for -R, and the probe answers no; otherwise `_extends` drains
+       them, in D's order, and answers as the probe does.
     """
     if isinstance(formula, ClauseStore):
-        target = formula.prefix.existentials.get(abs(pivot))
-        if target is not None and pivot in clause:
-            answer = formula._refutes_resolvents(clause, pivot, target)
-            if answer is not None:
-                return answer
-    elif pivot not in clause:
+        store, canon = formula, clause
+    else:
+        store, canon = ClauseStore(formula), _checked(formula.prefix, clause)
+    if pivot not in canon:
         raise ContractViolation("pivot must occur in the clause")
-    store, canon = _store_and_clause(formula, clause)
-    existentials = store.prefix.existentials
-    # a universal pivot's outer set is computed at the first partner, so
-    # a pivot without partners passes even where the set is undefined;
-    # an existential pivot's is tested literal by literal in `_resolve`
-    existential = abs(pivot) in existentials
+    target = store.prefix.existentials.get(abs(pivot))
+    if target is not None:
+        return store._refutes_resolvents(canon, pivot, target)
+    # the outer set is computed at the first partner, so a pivot without
+    # partners passes even where the set is undefined
     outer = None
     for cid in store.occurrences.get(-pivot, ()):
         partner = store.clauses[cid]
         if partner is None:
             continue
-        if outer is None and not existential:
+        if outer is None:
             outer = outer_variables(store.prefix, abs(pivot)).outer
-        resolvent = _resolve(canon, partner, pivot, existentials, outer)
-        if resolvent is TAUTOLOGY:
-            continue
-        if not dqat_check(store, resolvent):
+        resolvent = _resolve(canon, partner, pivot, outer)
+        if resolvent is not TAUTOLOGY and not dqat_check(store, resolvent):
             return False
     return True
 
@@ -398,25 +377,24 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     commit immediately; a derived empty clause ends the sweep.
 
     The existential pivots of a clause C are tried with the negation of
-    C held as the store's base (`ClauseStore.based`), and every
-    resolvent among them is answered from it, by `dqrat_plus_check`
-    itself as `ClauseStore.refutes` would answer. That needs each outer
-    resolvent R on an existential pivot p to contain C and to satisfy
-    dep(R) = dep(C):
+    C held as the store's base (`ClauseStore.based`), so that -C is
+    propagated once per clause, and `dqrat_plus_check` answers every
+    resolvent among them by extending the base's trail
+    (`ClauseStore._extends`). That needs each outer resolvent R on an
+    existential pivot p to contain C and to satisfy dep(R) = dep(C):
 
-    1. `_resolve` keeps a partner literal over v only if v is a
-       universal in deps(p) or an existential with deps(v) <= deps(p),
-       the outer variables `outer_variables` gives p, so every literal
-       l it keeps has dep(l) <= deps(p).
+    1. A partner literal over v is kept only if v is a universal in
+       deps(p) or an existential with deps(v) <= deps(p), the outer
+       variables `outer_variables` gives p, so every literal l kept has
+       dep(l) <= deps(p).
     2. p is a literal of C, so deps(p) <= dep(C).
     3. R is C together with the partner's outer literals other than -p
-       (`_resolve`), hence contains C, and dep(R) is dep(C) together
-       with sets inside deps(p), which is dep(C).
+       (`outer_resolvent`), hence contains C, and dep(R) is dep(C)
+       together with sets inside deps(p), which is dep(C).
 
     So -R is -C plus literals whose dependencies lie inside dep(C), the
-    case `ClauseStore.refutes` answers from the base. A resolvent on a
-    universal pivot lacks the pivot, so it is probed afresh, outside the
-    base.
+    case `_extends` answers from the base. A resolvent on a universal
+    pivot lacks the pivot, so it is probed afresh, outside the base.
     """
     report = PassReport("dqrat")
     if () in formula.matrix:

@@ -16,8 +16,14 @@ from contextlib import contextmanager
 import hypothesis.strategies as st
 import pytest
 
-from dqprep import Dqbf, Prefix, TAUTOLOGY, normalize_clause, oracle
+from dqprep import Dqbf, FuzzBounds, Prefix, TAUTOLOGY, normalize_clause, oracle
 from dqprep.formula import Canonical
+
+# clauses of up to six literals: many keep three or more existential
+# literals through several falsifications, so the counts of `_drain`
+# both settle visits and run down to scans
+WIDE = FuzzBounds(max_universals=2, max_existentials=8, max_clauses=24,
+                  max_clause_width=6)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -188,3 +194,25 @@ def formulas(draw, max_clauses: int = 6, max_width: int = 4) -> Dqbf:
             if clause is not TAUTOLOGY:
                 matrix.append(clause)
     return Dqbf(prefix, tuple(matrix))
+
+
+def partners(store, pivot):
+    # the visible clauses with -pivot, in id order
+    return [store.clauses[cid] for cid in store.occurrences.get(-pivot, ())
+            if store.clauses[cid] is not None]
+
+
+def settled_on_base(store, clause, resolvent):
+    # how `dqrat_plus_check` inside the base -clause settles the resolvent
+    # on an existential pivot without propagating, or None where it
+    # extends the base's trail by the resolvent's negation
+    if resolvent is TAUTOLOGY:
+        return "tautology"
+    if store._base[2]:
+        return "conflicting base"
+    added = [lit for lit in resolvent if lit not in clause]
+    if any(lit in store.true for lit in added):
+        return "clash"
+    if all(-lit in store.true for lit in added):
+        return "nothing new"
+    return None

@@ -1,7 +1,7 @@
 """The clause store behind every propagation: differential tests against
-the scan-based reference, refutations inside a held base against fresh
-probes, rewrites in place, output hashes of the default schedule, and
-linear propagation on implication chains."""
+the scan-based reference, the held base and the redundancy walk that
+extends its trail, rewrites in place, output hashes of the default
+schedule, and linear propagation on implication chains."""
 
 import hashlib
 import json
@@ -13,23 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
-                    KernelUndefined, PipelineConfig, Prefix, dep,
+from dqprep import (ContractViolation, Dqbf, FuzzBounds, KernelUndefined,
+                    PipelineConfig, Prefix, TAUTOLOGY, dep, dqat_check,
                     dqrat_plus_check, emit_dqdimacs, fuzz, normalize_clause,
-                    run_pipeline)
+                    outer_resolvent, run_pipeline)
 from dqprep import propagation
 from dqprep.propagation import ClauseStore, abstract
-from conftest import chain, counting_calls, formulas, u_e
+from conftest import (WIDE, chain, counting_calls, formulas, partners,
+                      settled_on_base, u_e)
 from reference_propagation import scan_unit_propagate
 
 GOLDEN = Path(__file__).with_name("golden_fuzz_0_500.json")
 BOUNDS = (FuzzBounds(), FuzzBounds(max_universals=3, max_existentials=6,
                                    max_clauses=16, max_clause_width=3))
-# clauses of up to six literals: many keep three or more existential
-# literals through several falsifications, so the counts of `_drain`
-# both settle visits and run down to scans
-WIDE = FuzzBounds(max_universals=2, max_existentials=8, max_clauses=24,
-                  max_clause_width=6)
 
 
 @st.composite
@@ -320,134 +316,32 @@ def test_hidden_clause_is_left_out(data):
     assert store.formula() == formula
 
 
-def base_cases(formula: Dqbf, cid: int | None, base: list[int],
-               extras: list[list[int]]) -> set[str]:
-    """With clause `cid` hidden (none if None) and `base` held, refute the
-    base plus each list of extra literals and compare with a fresh probe
-    on a store of the other clauses; the trail must be back at the base's
-    after each call and empty after the block. Returns the cases met:
-    extras answered from the base (`reused`, `complement` when one is the
-    complement of a literal on the base's trail, `base conflict` when the
-    base conflicts on its own) or refused with a ContractViolation, the
-    trail unmoved, because they depend on more than the base
-    (`refused`)."""
-    matrix = formula.matrix
-    rest = Dqbf(formula.prefix,
-                matrix if cid is None else matrix[:cid] + matrix[cid + 1:])
-    base_conflict, base_trail = ClauseStore(rest).probe(base)
-    reach = dep(formula.prefix, base)
+def test_walk_extends_from_the_counts_of_its_base():
+    # with (1, 5) hidden, the base -1, -5 leaves three existential
+    # literals of (1, 2, 3, 4); the resolvent (1, 2, 3, 5) on pivot 5
+    # extends it by -2, -3, which must find the unit 4, and 4 conflicts.
+    # Counts started from the clause's width would settle both visits
+    # and miss it.
+    formula = Dqbf(u_e((), {v: frozenset() for v in range(1, 7)}),
+                   ((1, 5), (1, 2, 3, 4), (-4, 6), (-4, -6), (2, 3, -5)))
     store = ClauseStore(formula)
-    seen = set()
-    with nullcontext() if cid is None else store.hidden(cid), store.based(base):
-        for extra in extras:
-            assumptions = extra + base if len(extra) % 2 else base + extra
-            before = store.trail[:]
-            if dep(formula.prefix, extra) <= reach:
-                assert (store.refutes(assumptions)
-                        == ClauseStore(rest).probe(assumptions)[0])
-                seen.add("base conflict" if base_conflict
-                         else "complement" if any(-l in base_trail for l in extra)
-                         else "reused")
-                if not base_conflict:
-                    assert store.trail == base_trail
-            else:
-                with pytest.raises(ContractViolation):
-                    store.refutes(assumptions)
-                seen.add("refused")
-                assert store.trail == before
-            with pytest.raises(ContractViolation):
-                store.probe(assumptions)
-            with pytest.raises(ContractViolation):
-                store.outcome()
-    assert store.trail == [] and store.true == set()
-    assert store.formula() == formula
-    return seen
-
-
-def literal_pools(formula: Dqbf, base: list[int]) -> list[list[int]]:
-    # every literal; those within the base's dependencies; the
-    # complements of the literals the base propagates
-    literals = [s * v for v in sorted(formula.prefix.variables) for s in (1, -1)]
-    reach = dep(formula.prefix, base)
-    pools = [literals, [l for l in literals if dep(formula.prefix, l) <= reach],
-             [-l for l in ClauseStore(formula).probe(base)[1]]]
-    return [pool for pool in pools if pool]
-
-
-@given(st.data())
-@settings(max_examples=200)
-def test_refutation_inside_a_base_matches_a_fresh_probe(data):
-    formula = data.draw(formulas(max_clauses=8))
-    variables = sorted(formula.prefix.variables)
-    if not variables:
-        return
-    cid = data.draw(st.none() | st.integers(0, len(formula.matrix) - 1)) \
-        if formula.matrix else None
-    literal = st.builds(lambda v, s: v * s, st.sampled_from(variables),
-                        st.sampled_from((1, -1)))
-    base = data.draw(st.lists(literal, max_size=3))
-    pools = literal_pools(formula, base)
-    extras = []
-    for _ in range(data.draw(st.integers(0, 4))):
-        pool = data.draw(st.sampled_from(pools))
-        extras.append(data.draw(st.lists(st.sampled_from(pool), max_size=3)))
-    base_cases(formula, cid, base, extras)
-
-
-def test_refutation_inside_a_base_matches_on_fuzz_stream():
-    rng = random.Random(3)
-    seen = set()
-    for formula in fuzz(41, 600, FuzzBounds(3, 5, 12, 3)):
-        variables = sorted(formula.prefix.variables)
-        if not variables:
-            continue
-        cid = rng.randrange(len(formula.matrix)) if formula.matrix else None
-        base = [rng.choice(variables) * rng.choice((1, -1))
-                for _ in range(rng.randint(1, 3))]
-        pools = literal_pools(formula, base)
-        extras = []
-        for _ in range(4):
-            pool = rng.choice(pools)
-            extras.append([rng.choice(pool) for _ in range(rng.randint(1, 3))])
-        seen |= base_cases(formula, cid, base, extras)
-    assert seen == {"reused", "complement", "base conflict", "refused"}
-
-
-def test_refutation_inside_a_base_matches_on_wide_clause_stream():
-    # four extensions per base, each answered after the one before it
-    # popped its trail, so counts it failed to restore show in the next
-    rng = random.Random(11)
-    seen = set()
-    for formula in fuzz(43, 1000, WIDE):
-        variables = sorted(formula.prefix.variables)
-        if not variables:
-            continue
-        cid = rng.randrange(len(formula.matrix)) if formula.matrix else None
-        base = [rng.choice(variables) * rng.choice((1, -1))
-                for _ in range(rng.randint(1, 3))]
-        pools = literal_pools(formula, base)
-        extras = [[rng.choice(pool) for _ in range(rng.randint(1, 3))]
-                  for pool in (rng.choice(pools) for _ in range(4))]
-        seen |= base_cases(formula, cid, base, extras)
-    assert seen == {"reused", "complement", "base conflict", "refused"}
-
-
-def test_refutes_restores_the_counts_of_its_base():
-    # the base -1 leaves three existential literals of (1, 2, 3, 4) and
-    # -2 two; after -2 is popped, -2 and -3 must find the unit 4, which
-    # conflicts. Counts left at the clause's width would settle both
-    # visits and miss it.
-    formula = Dqbf(u_e((), {v: frozenset() for v in range(1, 6)}),
-                   ((1, 2, 3, 4), (-4, 5), (-4, -5)))
-    assert base_cases(formula, None, [-1], [[-2], [-2, -3]]) == {"reused"}
-    assert ClauseStore(formula).probe([-1, -2, -3])[0]
+    with store.hidden(0) as clause:
+        assert dqrat_plus_check(store, clause, 5)
+        with store.based([-1, -5]):
+            counts = store.live[:]
+            assert counts[1] == 3
+            assert dqrat_plus_check(store, clause, 5)
+            assert store.live == counts and store.trail == [-1, -5]
+    assert ClauseStore(Dqbf(formula.prefix, formula.matrix[1:])).probe(
+        [-1, -2, -3, -5])[0]
 
 
 def test_extension_on_the_base_trail_is_answered_without_draining(monkeypatch):
-    # an extension whose literals the base already propagated, within its
-    # abstraction, adds nothing to process: it answers as a fresh probe
-    # without `_drain`; a base that conflicts answers yes
-    rng = random.Random(5)
+    # a partner settled on the base's trail, by a clash, a resolvent that
+    # adds nothing to it, a tautology or a base that conflicts, is
+    # answered without `_drain`: inside the base of each clause's
+    # negation, the checks of its existential pivots drain once per
+    # partner the trail leaves open, and no more
     drains = []
     drain = ClauseStore._drain
 
@@ -456,49 +350,61 @@ def test_extension_on_the_base_trail_is_answered_without_draining(monkeypatch):
         return drain(self, *args)
 
     monkeypatch.setattr(ClauseStore, "_drain", counting_drain)
-    answers = set()
+    settled, answers = set(), set()
     for formula in fuzz(47, 300, FuzzBounds(3, 5, 12, 3)):
-        variables = sorted(formula.prefix.variables)
-        if not variables:
-            continue
-        base = [rng.choice(variables) * rng.choice((1, -1))
-                for _ in range(rng.randint(1, 3))]
+        prefix = formula.prefix
         store = ClauseStore(formula)
-        with store.based(base):
-            trail = store.trail[:]
-            reach = dep(formula.prefix, base)
-            # the base's own literals where nothing else fits, as when it
-            # conflicts on a seed before they are processed
-            pool = [l for l in trail if dep(formula.prefix, l) <= reach] or base
-            for _ in range(3):
-                extra = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-                expected = ClauseStore(formula).probe(base + extra)[0]
-                drained = len(drains)
-                assert store.refutes(base + extra) == expected
-                assert len(drains) == drained and store.trail == trail
-                answers.add(expected)
+        for cid, clause in enumerate(formula.matrix):
+            rest = Dqbf(prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
+            with store.hidden(cid), store.based([-lit for lit in clause]):
+                for pivot in clause:
+                    if abs(pivot) not in prefix.existentials:
+                        continue
+                    # the partners the check walks, until one fails; the
+                    # fresh probes of the reference drain too, so they
+                    # run before the drains are counted
+                    opened = 0
+                    for partner in partners(store, pivot):
+                        resolvent = outer_resolvent(prefix, clause, partner, pivot)
+                        case = settled_on_base(store, clause, resolvent)
+                        if case is None:
+                            opened += 1
+                            if not dqat_check(rest, resolvent):
+                                break
+                        else:
+                            settled.add(case)
+                            if case == "nothing new":
+                                break
+                    drained = len(drains)
+                    answer = dqrat_plus_check(store, clause, pivot)
+                    assert len(drains) - drained == opened
+                    if not opened:
+                        answers.add(answer)
+    assert settled == {"clash", "nothing new", "tautology",
+                       "conflicting base"}
     assert answers == {False, True}
 
 
-def test_refutes_reports_errors_in_order():
-    # a missing base literal first, then an undeclared variable, then a
-    # dependency outside the base's abstraction
+def test_checks_under_a_base_they_cannot_use_are_refused():
+    # `dqrat_plus_check` on an existential pivot under a base other than
+    # the clause's negation, and `dqat_check` under any base, the one a
+    # universal pivot's check makes included, raise ContractViolation
+    # and leave the trail where it was
     formula = Dqbf(u_e({1, 2}, {3: frozenset({1}), 4: frozenset({2})}),
-                   ((3, 4), (-3, 1, 4)))
+                   ((3, 4), (1, -3), (-1, 4), (-4, 3)))
     store = ClauseStore(formula)
-    with store.based([3]):
-        with pytest.raises(CompatibilityError):
-            store.refutes([3, 7])
-        with pytest.raises(ContractViolation):
-            store.refutes([7])
-        with pytest.raises(ContractViolation):
-            store.refutes([3, 2])
-        with pytest.raises(ContractViolation):
-            store.refutes([3, -4])
-        with pytest.raises(CompatibilityError):
-            store.refutes([3, 2, 7])
-        assert not store.refutes([3, 1])
-        assert store.trail == [3]
+    for base in ([-3, -4], [-3], [-3, -4, 1], [4, -3]):
+        with store.based(base):
+            trail = store.trail[:]
+            checks = [lambda: dqat_check(store, (3, 4)),
+                      lambda: dqrat_plus_check(store, (1, -3), 1)]
+            if base != [-3, -4]:
+                checks.append(lambda: dqrat_plus_check(store, (3, 4), 3))
+            for check in checks:
+                with pytest.raises(ContractViolation):
+                    check()
+                assert store.trail == trail and store.true == set(trail)
+    assert store.trail == [] and dqat_check(store, (3, 4))
 
 
 def recounted(store: ClauseStore) -> bytearray:
@@ -537,24 +443,20 @@ def test_width_follows_every_rewrite_and_probe(data):
                     st.sampled_from(old), unique=True, max_size=len(old) - 1))))
         elif action == "probe":
             store.probe(data.draw(st.lists(literal, max_size=4)))
-        elif action == "based":
-            cid = (data.draw(st.none() | st.sampled_from(present))
-                   if present else None)
-            base = data.draw(st.lists(literal, max_size=3))
-            reach = dep(formula.prefix, base)
+        elif action == "based" and present:
+            # the existential pivots of a clause, checked inside the base
+            # of its negation, with the clause hidden or present
+            cid = data.draw(st.sampled_from(present))
+            clause = store.clauses[cid]
             fail = data.draw(st.booleans())
             try:
-                with nullcontext() if cid is None else store.hidden(cid), \
-                        store.based(base):
-                    for extra in data.draw(st.lists(
-                            st.lists(literal, max_size=3), max_size=4)):
-                        counts = store.live[:]
-                        if dep(formula.prefix, extra) <= reach:
-                            store.refutes(base + extra)
-                        else:
-                            with pytest.raises(ContractViolation):
-                                store.refutes(base + extra)
-                        assert store.live == counts
+                with store.hidden(cid) if data.draw(st.booleans()) \
+                        else nullcontext(), store.based([-l for l in clause]):
+                    counts = store.live[:]
+                    for pivot in clause:
+                        if abs(pivot) in formula.prefix.existentials:
+                            dqrat_plus_check(store, clause, pivot)
+                            assert store.live == counts
                     if fail:
                         raise KeyError(cid)
             except KeyError:
@@ -570,7 +472,7 @@ def test_base_is_taken_back_when_an_exception_leaves_the_block():
     store = ClauseStore(formula)
     with pytest.raises(KernelUndefined):
         with store.hidden(0) as clause, store.based([-2, -3]):
-            assert not store.refutes([-2, -3])
+            assert not dqrat_plus_check(store, clause, 3)
             assert store.trail == [-2, -3]
             with pytest.raises(ContractViolation):
                 with store.based([-2]):
@@ -585,40 +487,43 @@ def test_base_is_taken_back_when_an_exception_leaves_the_block():
 @given(st.data())
 @settings(max_examples=150)
 def test_base_propagates_on_entry(data):
-    # the base's trail is on the store before any `refutes`, as a fresh
-    # probe leaves it; a base that conflicts answers every extension yes
-    # and leaves its trail where it is
+    # the base's trail is on the store before any check, as a fresh probe
+    # leaves it; where the base is a clause's negation and conflicts,
+    # every existential pivot of the clause is answered yes and the
+    # trail stays where it is
     formula = data.draw(formulas(max_clauses=8))
     variables = sorted(formula.prefix.variables)
     if not variables:
         return
     literal = st.builds(lambda v, s: v * s, st.sampled_from(variables),
                         st.sampled_from((1, -1)))
-    base = data.draw(st.lists(literal, max_size=3))
+    clause = normalize_clause(data.draw(st.lists(literal, max_size=3)))
+    if clause is TAUTOLOGY:
+        return
+    base = [-lit for lit in clause]
     conflict, trail = ClauseStore(formula).probe(base)
-    reach = dep(formula.prefix, base)
-    within = [s * v for v in variables for s in (1, -1)
-              if dep(formula.prefix, [v]) <= reach]
     store = ClauseStore(formula)
     with store.based(base):
         assert store.trail == trail and store.true == set(trail)
-        if conflict and within:
-            for extra in data.draw(st.lists(st.lists(st.sampled_from(within),
-                                                     max_size=3), max_size=4)):
-                assert store.refutes(base + extra)
-                assert store.trail == trail
+        if conflict:
+            for pivot in clause:
+                if abs(pivot) in formula.prefix.existentials:
+                    assert dqrat_plus_check(store, clause, pivot)
+                    assert store.trail == trail
 
 
 def test_conflicting_base_refutes_every_extension():
-    # 1 implies both 2 and -2: the base [1] conflicts as it is taken
-    formula = Dqbf(u_e((), {1: frozenset(), 2: frozenset()}),
-                   ((-1, 2), (-1, -2), (1, 2)))
+    # 1 implies both 2 and -2: the base [1], the negation of (-1), conflicts
+    # as it is taken, and every partner of the pivot -1 passes, whether
+    # its resolvent clashes with the trail, adds a literal or is taken
+    # from the base's own literals
+    formula = Dqbf(u_e((), {1: frozenset(), 2: frozenset(), 3: frozenset()}),
+                   ((-1, 2), (-1, -2), (1, 2), (1, -2), (1, 3), (1,)))
     store = ClauseStore(formula)
     with store.based([1]):
         assert store.trail == [1, 2] == ClauseStore(formula).probe([1])[1]
-        for extra in ([], [2], [-2], [-1], [2, -1]):
-            assert store.refutes([1] + extra)
-            assert store.trail == [1, 2]
+        assert dqrat_plus_check(store, (-1,), -1)
+        assert store.trail == [1, 2]
 
 
 def test_default_schedule_outputs_match_golden_hashes():

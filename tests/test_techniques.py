@@ -1,13 +1,12 @@
 """Vivification, polarity lookahead, and redundancy elimination."""
 
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas, u_e
+from conftest import WIDE, formulas, partners, settled_on_base, u_e
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
                     KernelUndefined, TAUTOLOGY, VivifyKind,
                     dqat_check, dqrat_eliminate_pass, dqrat_plus_check,
@@ -402,34 +401,16 @@ def test_resolve_matches_outer_resolvent_on_canonical_clauses(formula):
     prefix = formula.prefix
     for first in formula.matrix:
         for pivot in first:
-            # an existential pivot's outer set is tested literal by literal
-            outer = None
-            if abs(pivot) not in prefix.existentials:
-                try:
-                    outer = outer_variables(prefix, abs(pivot)).outer
-                except KernelUndefined:
-                    continue
+            if abs(pivot) in prefix.existentials:
+                continue
+            try:
+                outer = outer_variables(prefix, abs(pivot)).outer
+            except KernelUndefined:
+                continue
             for second in formula.matrix:
                 if -pivot in second:
-                    assert (_resolve(first, second, pivot, prefix.existentials,
-                                     outer)
+                    assert (_resolve(first, second, pivot, outer)
                             == outer_resolvent(prefix, first, second, pivot))
-
-
-@given(formulas())
-def test_existential_outer_test_matches_outer_variables(formula):
-    # the literal-by-literal test of an existential pivot p keeps the
-    # partner literal over v exactly when v is in p's outer set
-    prefix = formula.prefix
-    for pivot in sorted(prefix.existentials):
-        outer = outer_variables(prefix, pivot).outer
-        for var in sorted(prefix.variables - {pivot}):
-            for lit in (var, -var):
-                partner = tuple(sorted((-pivot, lit), key=abs))
-                kept = _resolve((pivot,), partner, pivot, prefix.existentials,
-                                None)
-                assert kept == (tuple(sorted((pivot, lit), key=abs))
-                                if var in outer else (pivot,))
 
 
 _LITERALS = st.builds(lambda var, sign: var * sign, st.integers(1, 8),
@@ -439,27 +420,16 @@ _LITERALS = st.builds(lambda var, sign: var * sign, st.integers(1, 8),
 @given(st.data())
 def test_resolve_merges_as_normalization_does(data):
     # the resolvent built as a set against normalizing the concatenated
-    # parts, on canonical clauses, any outer set and either kind of pivot
+    # parts, on canonical clauses and any outer set of a universal pivot
     canon = normalize_clause(data.draw(st.lists(_LITERALS, min_size=1, max_size=7)))
     assume(canon is not TAUTOLOGY)
     pivot = data.draw(st.sampled_from(canon))
     partner = normalize_clause(data.draw(st.lists(_LITERALS, max_size=7)) + [-pivot])
     assume(partner is not TAUTOLOGY)
     outer = data.draw(st.frozensets(st.integers(1, 8)))
-    existential = data.draw(st.booleans())
-    outer_part = [lit for lit in partner if abs(lit) in outer]
-    if existential:
-        merged = list(canon) + [lit for lit in outer_part if lit != -pivot]
-    else:
-        merged = [lit for lit in canon if lit != pivot] + outer_part
-    # existentials whose literal-by-literal outer test for an existential
-    # pivot keeps exactly the variables of `outer`: the pivot and those
-    # variables depend on nothing, every other variable on universal 9
-    existentials = {var: frozenset() if var in outer or var == abs(pivot)
-                    else frozenset({9}) for var in range(1, 9)}
-    assert (_resolve(canon, partner, pivot, existentials,
-                     None if existential else outer)
-            == normalize_clause(merged))
+    merged = ([lit for lit in canon if lit != pivot]
+              + [lit for lit in partner if abs(lit) in outer])
+    assert _resolve(canon, partner, pivot, outer) == normalize_clause(merged)
 
 
 # -- redundancy elimination -------------------------------------------------
@@ -494,6 +464,13 @@ def test_dqrat_check_rejects_tautology_and_bad_pivot():
         dqrat_plus_check(f, (1, -1), 1)
     with pytest.raises(ContractViolation):
         dqrat_plus_check(f, (1,), 2)
+    # a pivot outside the clause is refused on a store too, where the
+    # walk over the partners of -1 would otherwise answer yes
+    g = Dqbf(u_e({1}, {2: frozenset({1}), 3: frozenset({1})}),
+             ((2, 3), (-1, 2), (1, -3)))
+    for scope in (g, ClauseStore(g)):
+        with pytest.raises(ContractViolation):
+            dqrat_plus_check(scope, (2, 3), 1)
 
 
 def reference_dqrat_plus_check(formula, clause, pivot):
@@ -542,50 +519,35 @@ def test_dqrat_check_matches_reference_on_fuzz_stream():
     assert seen == {True, False, KernelUndefined}
 
 
-def partners(store, pivot):
-    return [store.clauses[cid] for cid in store.occurrences.get(-pivot, ())
-            if store.clauses[cid] is not None]
-
-
-def settled_on_base(store, clause, resolvent):
-    # how `dqrat_plus_check` inside the base -clause settles the resolvent
-    # on an existential pivot without propagating, or None where it
-    # extends the base's trail by the resolvent's negation
-    if resolvent is TAUTOLOGY:
-        return "tautology"
-    if store._base[2]:
-        return "conflicting base"
-    added = [lit for lit in resolvent if lit not in clause]
-    if any(lit in store.true for lit in added):
-        return "clash"
-    if all(-lit in store.true for lit in added):
-        return "nothing new"
-    return None
-
-
 def assert_based_checks_match(formula, reached):
     # for every clause and existential pivot: the check inside the base of
-    # the clause's negation, the same check without a base, and the
+    # the clause's negation, after which the trail and the counts must be
+    # back at the base's, the same check without a base, and the
     # reference on the rest of the matrix. `reached` counts the cases of
     # the resolvents the based check looks at, in its order, until one
     # fails
     store = ClauseStore(formula)
-    existentials = formula.prefix.existentials
+    prefix = formula.prefix
     for cid, clause in enumerate(formula.matrix):
-        rest = Dqbf(formula.prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
-        pivots = [lit for lit in clause if abs(lit) in existentials]
+        rest = Dqbf(prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
+        pivots = [lit for lit in clause if abs(lit) in prefix.existentials]
         with store.hidden(cid):
             without = [dqrat_plus_check(store, clause, p) for p in pivots]
+            assert store.trail == [] and store.true == set()
             with store.based([-lit for lit in clause]):
-                based = [dqrat_plus_check(store, clause, p) for p in pivots]
+                trail, live = store.trail[:], store.live[:]
+                based = []
+                for pivot in pivots:
+                    based.append(dqrat_plus_check(store, clause, pivot))
+                    assert store.trail == trail and store.true == set(trail)
+                    assert store.live == live
                 for pivot in pivots:
                     for partner in partners(store, pivot):
-                        resolvent = _resolve(clause, partner, pivot,
-                                             existentials, None)
+                        resolvent = outer_resolvent(prefix, clause, partner, pivot)
                         case = settled_on_base(store, clause, resolvent)
                         reached[case or "extension"] += 1
-                        if case == "nothing new" or case is None and not store.refutes(
-                                [-lit for lit in resolvent]):
+                        if case == "nothing new" or case is None and not dqat_check(
+                                rest, resolvent):
                             break
         assert based == without == [reference_dqrat_plus_check(rest, clause, p)
                                     for p in pivots]
@@ -597,11 +559,16 @@ def test_dqrat_check_inside_a_base_matches_without_and_reference(formula):
 
 
 def test_dqrat_check_inside_a_base_matches_on_fuzz_stream():
-    reached = Counter()
-    for formula in fuzz(17, 400, FuzzBounds(4, 6, 14, 4)):
-        assert_based_checks_match(formula, reached)
-    assert set(reached) == {"conflicting base", "tautology", "clash",
-                            "nothing new", "extension"}, reached
+    # three streams, the last of clauses wide enough for the counts of
+    # `_drain` to settle visits inside the base; each reaches every case
+    for seed, count, bounds in ((17, 400, FuzzBounds(4, 6, 14, 4)),
+                                (41, 600, FuzzBounds(3, 5, 12, 3)),
+                                (43, 1000, WIDE)):
+        reached = Counter()
+        for formula in fuzz(seed, count, bounds):
+            assert_based_checks_match(formula, reached)
+        assert set(reached) == {"conflicting base", "tautology", "clash",
+                                "nothing new", "extension"}, (seed, reached)
 
 
 def assert_store_probes_match_dqbf(formula):
@@ -724,7 +691,7 @@ def test_dqrat_pass_propagates_each_clause_once_for_its_existential_pivots(
         # each settled on the base's trail, or by the next extension made
         made = iter(extensions[mark:])
         for partner in partners(store, pivot):
-            resolvent = _resolve(clause, partner, pivot, existentials, None)
+            resolvent = outer_resolvent(PIVOTED.prefix, clause, partner, pivot)
             case = settled_on_base(store, clause, resolvent)
             counts[case or "extension"] += 1
             if case == "nothing new" or case is None and not next(made):
@@ -770,19 +737,18 @@ def test_dqrat_pass_builds_no_outer_set_for_an_existential_pivot(monkeypatch):
     assert pivots and set(pivots) == {1}
 
 
-@contextmanager
-def no_base(store, assumptions):
-    yield
-
-
 @pytest.mark.parametrize("seed, bounds", [
     (29, FuzzBounds(4, 6, 14, 4)), (31, FuzzBounds(2, 8, 20, 3))])
 def test_dqrat_pass_answers_as_without_a_base(monkeypatch, seed, bounds):
-    # with `based` a no-op, every resolvent is propagated from an empty
-    # trail; the pass must rewrite the same clauses either way
+    # with every check answered by the reference, each resolvent is built
+    # and probed afresh over the rest of the matrix (the clause under
+    # examination is hidden); the pass must rewrite the same clauses
+    # either way
     sample = list(fuzz(seed, 300, bounds))
     with_base = [dqrat_eliminate_pass(f) for f in sample]
-    monkeypatch.setattr(ClauseStore, "based", no_base)
+    monkeypatch.setattr(techniques, "dqrat_plus_check",
+                        lambda store, clause, pivot: reference_dqrat_plus_check(
+                            store.formula(), clause, pivot))
     without = [dqrat_eliminate_pass(f) for f in sample]
     assert with_base == without
     assert sum(report.changed for _, report in with_base) > 100
