@@ -16,8 +16,10 @@ from contextlib import contextmanager
 import hypothesis.strategies as st
 import pytest
 
-from dqprep import Dqbf, FuzzBounds, Prefix, TAUTOLOGY, normalize_clause, oracle
+from dqprep import (Dqbf, FuzzBounds, Prefix, TAUTOLOGY, dqat_check,
+                    dqrat_plus_check, normalize_clause, oracle, outer_resolvent)
 from dqprep.formula import Canonical
+from dqprep.propagation import ClauseStore
 
 # clauses of up to six literals: many keep three or more existential
 # literals through several falsifications, so the counts of `_drain`
@@ -216,3 +218,48 @@ def settled_on_base(store, clause, resolvent):
     if all(-lit in store.true for lit in added):
         return "nothing new"
     return None
+
+
+def reference_dqrat_plus_check(formula, clause, pivot):
+    # one public outer resolvent and one public addition test per partner
+    for partner in formula.matrix:
+        if -pivot not in partner:
+            continue
+        resolvent = outer_resolvent(formula.prefix, clause, partner, pivot)
+        if resolvent is not TAUTOLOGY and not dqat_check(formula, resolvent):
+            return False
+    return True
+
+
+def assert_based_checks_match(formula, reached):
+    # for every clause and existential pivot: the check inside the base of
+    # the clause's negation, after which the trail and the counts must be
+    # back at the base's, the same check without a base, and the
+    # reference on the rest of the matrix. `reached` counts the cases of
+    # the resolvents the based check looks at, in its order, until one
+    # fails
+    store = ClauseStore(formula)
+    prefix = formula.prefix
+    for cid, clause in enumerate(formula.matrix):
+        rest = Dqbf(prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
+        pivots = [lit for lit in clause if abs(lit) in prefix.existentials]
+        with store.hidden(cid):
+            without = [dqrat_plus_check(store, clause, p) for p in pivots]
+            assert store.trail == [] and store.true == set()
+            with store.based([-lit for lit in clause]):
+                trail, live = store.trail[:], store.live[:]
+                based = []
+                for pivot in pivots:
+                    based.append(dqrat_plus_check(store, clause, pivot))
+                    assert store.trail == trail and store.true == set(trail)
+                    assert store.live == live
+                for pivot in pivots:
+                    for partner in partners(store, pivot):
+                        resolvent = outer_resolvent(prefix, clause, partner, pivot)
+                        case = settled_on_base(store, clause, resolvent)
+                        reached[case or "extension"] += 1
+                        if case == "nothing new" or case is None and not dqat_check(
+                                rest, resolvent):
+                            break
+        assert based == without == [reference_dqrat_plus_check(rest, clause, p)
+                                    for p in pivots]

@@ -6,6 +6,7 @@ schedule, and linear propagation on implication chains."""
 import hashlib
 import json
 import random
+from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -19,8 +20,8 @@ from dqprep import (ContractViolation, Dqbf, FuzzBounds, KernelUndefined,
                     outer_resolvent, run_pipeline)
 from dqprep import propagation
 from dqprep.propagation import ClauseStore, abstract
-from conftest import (WIDE, chain, counting_calls, formulas, partners,
-                      settled_on_base, u_e)
+from conftest import (WIDE, assert_based_checks_match, chain, counting_calls,
+                      formulas, partners, settled_on_base, u_e)
 from reference_propagation import scan_unit_propagate
 
 GOLDEN = Path(__file__).with_name("golden_fuzz_0_500.json")
@@ -314,6 +315,28 @@ def test_hidden_clause_is_left_out(data):
         rest, assumptions, dep(formula.prefix, assumptions)))
     assert fields(got) == fields(scan_unit_propagate(rest))
     assert store.formula() == formula
+
+
+def test_refutation_inside_a_base_matches_on_fuzz_stream():
+    # every existential-pivot check inside the base of its clause's
+    # negation, against the same check without a base and the reference;
+    # each case of the walk is reached
+    reached = Counter()
+    for formula in fuzz(41, 600, FuzzBounds(3, 5, 12, 3)):
+        assert_based_checks_match(formula, reached)
+    assert set(reached) == {"conflicting base", "tautology", "clash",
+                            "nothing new", "extension"}, reached
+
+
+def test_refutation_inside_a_base_matches_on_wide_clause_stream():
+    # clauses wide enough for the counts of `_drain` to settle visits
+    # inside the base; each check runs after the one before it popped its
+    # trail, so counts it failed to restore show in the next
+    reached = Counter()
+    for formula in fuzz(43, 1000, WIDE):
+        assert_based_checks_match(formula, reached)
+    assert set(reached) == {"conflicting base", "tautology", "clash",
+                            "nothing new", "extension"}, reached
 
 
 def test_walk_extends_from_the_counts_of_its_base():

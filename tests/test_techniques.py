@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import WIDE, formulas, partners, settled_on_base, u_e
+from conftest import (assert_based_checks_match, formulas, partners,
+                      reference_dqrat_plus_check, settled_on_base, u_e)
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
                     KernelUndefined, TAUTOLOGY, VivifyKind,
                     dqat_check, dqrat_eliminate_pass, dqrat_plus_check,
@@ -473,17 +474,6 @@ def test_dqrat_check_rejects_tautology_and_bad_pivot():
             dqrat_plus_check(scope, (2, 3), 1)
 
 
-def reference_dqrat_plus_check(formula, clause, pivot):
-    # one public outer resolvent and one public addition test per partner
-    for partner in formula.matrix:
-        if -pivot not in partner:
-            continue
-        resolvent = outer_resolvent(formula.prefix, clause, partner, pivot)
-        if resolvent is not TAUTOLOGY and not dqat_check(formula, resolvent):
-            return False
-    return True
-
-
 def dqrat_verdict(check, scope, clause, pivot):
     try:
         return check(scope, clause, pivot)
@@ -519,56 +509,17 @@ def test_dqrat_check_matches_reference_on_fuzz_stream():
     assert seen == {True, False, KernelUndefined}
 
 
-def assert_based_checks_match(formula, reached):
-    # for every clause and existential pivot: the check inside the base of
-    # the clause's negation, after which the trail and the counts must be
-    # back at the base's, the same check without a base, and the
-    # reference on the rest of the matrix. `reached` counts the cases of
-    # the resolvents the based check looks at, in its order, until one
-    # fails
-    store = ClauseStore(formula)
-    prefix = formula.prefix
-    for cid, clause in enumerate(formula.matrix):
-        rest = Dqbf(prefix, formula.matrix[:cid] + formula.matrix[cid + 1:])
-        pivots = [lit for lit in clause if abs(lit) in prefix.existentials]
-        with store.hidden(cid):
-            without = [dqrat_plus_check(store, clause, p) for p in pivots]
-            assert store.trail == [] and store.true == set()
-            with store.based([-lit for lit in clause]):
-                trail, live = store.trail[:], store.live[:]
-                based = []
-                for pivot in pivots:
-                    based.append(dqrat_plus_check(store, clause, pivot))
-                    assert store.trail == trail and store.true == set(trail)
-                    assert store.live == live
-                for pivot in pivots:
-                    for partner in partners(store, pivot):
-                        resolvent = outer_resolvent(prefix, clause, partner, pivot)
-                        case = settled_on_base(store, clause, resolvent)
-                        reached[case or "extension"] += 1
-                        if case == "nothing new" or case is None and not dqat_check(
-                                rest, resolvent):
-                            break
-        assert based == without == [reference_dqrat_plus_check(rest, clause, p)
-                                    for p in pivots]
-
-
 @given(formulas())
 def test_dqrat_check_inside_a_base_matches_without_and_reference(formula):
     assert_based_checks_match(formula, Counter())
 
 
 def test_dqrat_check_inside_a_base_matches_on_fuzz_stream():
-    # three streams, the last of clauses wide enough for the counts of
-    # `_drain` to settle visits inside the base; each reaches every case
-    for seed, count, bounds in ((17, 400, FuzzBounds(4, 6, 14, 4)),
-                                (41, 600, FuzzBounds(3, 5, 12, 3)),
-                                (43, 1000, WIDE)):
-        reached = Counter()
-        for formula in fuzz(seed, count, bounds):
-            assert_based_checks_match(formula, reached)
-        assert set(reached) == {"conflicting base", "tautology", "clash",
-                                "nothing new", "extension"}, (seed, reached)
+    reached = Counter()
+    for formula in fuzz(17, 400, FuzzBounds(4, 6, 14, 4)):
+        assert_based_checks_match(formula, reached)
+    assert set(reached) == {"conflicting base", "tautology", "clash",
+                            "nothing new", "extension"}, reached
 
 
 def assert_store_probes_match_dqbf(formula):
