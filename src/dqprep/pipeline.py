@@ -33,7 +33,7 @@ from .formula import (TAUTOLOGY, Canonical, Dqbf, Prefix, literal_key,
                       normalize_clause)
 from .propagation import PropagationOutcome, _reduce, unit_propagate
 from .reports import PassReport
-from .techniques import (DEFAULT_VIVIFY_BUDGET, dqrat_eliminate_pass,
+from .techniques import (DEFAULT_VIVIFY_BUDGET, _Kept, dqrat_eliminate_pass,
                          upla_pass, vivify_pass)
 
 log = logging.getLogger(__name__)
@@ -107,8 +107,10 @@ def _run_up(formula: Dqbf) -> tuple[Dqbf, PassReport, PropagationOutcome | None]
     return after, report, outcome
 
 
-def _apply_pass(name: str, formula: Dqbf, config: PipelineConfig
+def _apply_pass(name: str, formula: Dqbf, config: PipelineConfig,
+                kept: _Kept | None = None
                 ) -> tuple[Dqbf, PassReport, PropagationOutcome | None]:
+    # `kept` is the run's `dqrat` record, if it keeps one
     if name == "ur":
         return _run_ur(formula)
     if name == "up":
@@ -118,7 +120,7 @@ def _apply_pass(name: str, formula: Dqbf, config: PipelineConfig
     if name == "vivify":
         return *vivify_pass(formula, config.vivify_budget), None
     if name == "dqrat":
-        return *dqrat_eliminate_pass(formula), None
+        return *dqrat_eliminate_pass(formula, kept), None
     raise ContractViolation(f"unknown pass {name!r}")
 
 
@@ -204,8 +206,11 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
                  ) -> tuple[Dqbf, list[PassReport], Verdict]:
     """Run the configured passes until each is settled or a verdict is
     reached, for at most `max_rounds` rounds; a settled pass is skipped
-    and makes no report."""
+    and makes no report. A scheduled `dqrat` keeps a record across its
+    applications, which only lets it skip clauses whose answer cannot
+    have changed (see `dqrat_eliminate_pass`)."""
     scheduled = frozenset(config.passes)
+    kept = _Kept() if "dqrat" in scheduled else None
     settled: frozenset[str] = frozenset()
     current = formula
     reports: list[PassReport] = []
@@ -215,7 +220,7 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
                 continue
             before = current
             start = time.perf_counter()
-            current, report, outcome = _apply_pass(name, current, config)
+            current, report, outcome = _apply_pass(name, current, config, kept)
             report.wall_time = time.perf_counter() - start
             reports.append(report)
             if config.verify:
@@ -226,6 +231,11 @@ def run_pipeline(config: PipelineConfig, formula: Dqbf
                 return Dqbf(current.prefix, Canonical(((),))), reports, Verdict.UNSAT
             if not current.matrix:
                 return current, reports, Verdict.SAT
+            if not report.changed:
+                # an equal formula (rule 1 of `_settled_after`): going on
+                # with the input itself drops the copy, and keeps the
+                # output `dqrat` recorded the current formula
+                current = before
             settled = _settled_after(settled, name, report.changed)
             if settled >= scheduled:
                 return current, reports, Verdict.UNKNOWN

@@ -366,7 +366,21 @@ def dqrat_plus_check(formula: Dqbf | ClauseStore, clause: Clause, pivot: int) ->
     return True
 
 
-def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
+class _Kept:
+    """What `dqrat_eliminate_pass` carries from one application to the
+    next within a pipeline run: its last output, and one flag per clause
+    of that output, set for a clause the sweep examined and kept whole.
+    Private to the pipeline, which holds one per run."""
+
+    __slots__ = ("formula", "flags")
+
+    def __init__(self) -> None:
+        self.formula: Dqbf | None = None
+        self.flags = bytearray()
+
+
+def dqrat_eliminate_pass(formula: Dqbf, kept: _Kept | None = None
+                         ) -> tuple[Dqbf, PassReport]:
     """One elimination sweep over the matrix.
 
     Each clause is visited once against the rest of the current matrix.
@@ -395,6 +409,30 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     So -R is -C plus literals whose dependencies lie inside dep(C), the
     case `_extends` answers from the base. A resolvent on a universal
     pivot lacks the pivot, so it is probed afresh, outside the base.
+
+    With a record `kept` (the pipeline's, one per run), the sweep skips
+    the clauses it flags. The flags are those of the record if `formula`
+    equals the output recorded there, prefix and matrix, and all clear
+    otherwise. A clause examined and kept whole is flagged; deleting a
+    clause D clears the flag of every clause holding -l for some l in D
+    (its partners on the pivot l); shortening a clause clears them all.
+    The record then gets the output and the flags of its clauses. A
+    skipped clause C would have been kept whole:
+
+    4. C was examined against a matrix M0, with C hidden, and kept
+       whole: each pivot had a partner whose outer resolvent R does
+       not refute. Since then only deletions happened, none of them of
+       a partner of C, as any other change clears the flag. So the
+       current matrix M1 is a subset of M0 holding the same partners of
+       C, and on an equal prefix R and dep(R) are the same.
+    5. Propagating -R in M1 is a derivation in M0 (`ClauseStore.
+       _extends`, point 1), so it does not conflict either, and
+       `dqrat_plus_check`'s proof carries that to the walk on the base.
+       A tautological resolvent depends on C and its partner alone, and
+       the prefix fixes `depended` and every outer set.
+
+    So skipping C gives the store, output and PassReport of examining
+    it. Without a record every clause is examined.
     """
     report = PassReport("dqrat")
     if () in formula.matrix:
@@ -403,7 +441,13 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
     # the universals some existential depends on: the only universal pivots
     depended = frozenset().union(*existentials.values())
     store = ClauseStore(formula)
+    occurrences = store.occurrences
+    # a copy: a sweep cut short leaves the record as it was
+    flags = bytearray(kept.flags if kept is not None and kept.formula == formula
+                      else len(store.clauses))
     for cid, clause in enumerate(store.clauses):
+        if flags[cid]:
+            continue
         # each clause is checked against the rest; its literals are
         # already in canonical order, so pivots are tried in that order
         with store.hidden(cid):
@@ -415,9 +459,13 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
                 (lit for lit in clause if abs(lit) in depended
                  and dqrat_plus_check(store, clause, lit)), None)
         if deleted:
+            for lit in clause:
+                for partner in occurrences.get(-lit, ()):
+                    flags[partner] = 0
             store.delete(cid)
             report.clauses_removed += 1
         elif dropped is not None:
+            flags = bytearray(len(flags))
             # a canonical clause minus one literal is canonical
             reduced = _reduce(tuple(l for l in clause if l != dropped), existentials)
             report.clauses_shortened += 1
@@ -425,4 +473,13 @@ def dqrat_eliminate_pass(formula: Dqbf) -> tuple[Dqbf, PassReport]:
             if reduced == ():
                 report.conflicts += 1
                 break
-    return store.formula(), report
+        else:
+            flags[cid] = 1
+    after = store.formula()
+    if kept is not None:
+        # the store holds no duplicates, so its live clauses are the
+        # output's matrix in order, each with its flag
+        kept.formula = after
+        kept.flags = bytearray(flag for flag, clause in zip(flags, store.clauses)
+                               if clause is not None)
+    return after, report

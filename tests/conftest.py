@@ -8,6 +8,7 @@ enough that every generated formula fits the oracle budget.
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterator
@@ -141,6 +142,25 @@ def chain(links: int) -> Dqbf:
                     {first + i: frozenset({1}) for i in range(links + 1)})
     matrix = [(-(first + i), first + i + 1, 2) for i in reversed(range(links))]
     return Dqbf(prefix, tuple(matrix) + ((first,),))
+
+
+def random_cnf(seed: int, count: int) -> Iterator[Dqbf]:
+    """A seeded stream of random formulas larger than `fuzz` draws: 1 to
+    6 universals, 3 to 14 existentials each depending on a random subset
+    of them, and 10 to 60 clauses of 2 to 4 literals, a tautology drawn
+    left out. `dqrat` runs on many of them more than once."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        universals = list(range(1, rng.randint(1, 6) + 1))
+        existentials = {len(universals) + 1 + i:
+                        frozenset(u for u in universals if rng.random() < 0.5)
+                        for i in range(rng.randint(3, 14))}
+        variables = universals + list(existentials)
+        clauses = [normalize_clause(rng.choice(variables) * rng.choice((1, -1))
+                                    for _ in range(rng.randint(2, 4)))
+                   for _ in range(rng.randint(10, 60))]
+        yield Dqbf(u_e(universals, existentials),
+                   tuple(c for c in clauses if c is not TAUTOLOGY))
 
 
 def u_e(universals, existentials) -> Prefix:

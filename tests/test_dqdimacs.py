@@ -461,12 +461,23 @@ def test_a_long_a_line_parses_in_linear_time():
     assert parsed.formula.matrix == ((1, 100_001),)
 
 
+def best_of_five(work, inputs) -> list[float]:
+    """The best of five timings of `work` on each input; the inputs take
+    turns, so a slow spell of the machine slows all of them."""
+    elapsed: list[list[float]] = [[] for _ in inputs]
+    for _ in range(5):
+        for item, runs in zip(inputs, elapsed):
+            start = time.perf_counter()
+            work(item)
+            runs.append(time.perf_counter() - start)
+    return [min(runs) for runs in elapsed]
+
+
 def test_a_long_e_line_parses_in_linear_time_and_memory():
     # every variable of an `e` line depends on every universal declared
     # before it: one dependency set for the line, not one per variable.
-    # Time is the best of five runs, and its doubling ratio is taken over
-    # the whole range, as single runs of a few milliseconds are noisy;
-    # the sizes take turns, so a slow spell of the machine slows all three
+    # The doubling ratio of the best times is taken over the whole range,
+    # as single runs of a few milliseconds are noisy
     sizes = (1000, 2000, 4000)
     texts = []
     for n in sizes:
@@ -474,13 +485,7 @@ def test_a_long_e_line_parses_in_linear_time_and_memory():
         existentials = " ".join(map(str, range(n + 1, 2 * n + 1)))
         texts.append(f"p cnf {2 * n} 1\na {universals} 0\ne {existentials} 0\n"
                      f"1 {2 * n} 0\n")
-    elapsed: list[list[float]] = [[] for _ in sizes]
-    for _ in range(5):
-        for text, runs in zip(texts, elapsed):
-            start = time.perf_counter()
-            parse_dqdimacs(text)
-            runs.append(time.perf_counter() - start)
-    times = [min(runs) for runs in elapsed]
+    times = best_of_five(parse_dqdimacs, texts)
     peaks = []
     for n, text in zip(sizes, texts):
         tracemalloc.start()
@@ -493,6 +498,47 @@ def test_a_long_e_line_parses_in_linear_time_and_memory():
         assert len(parsed.formula.prefix.existentials) == n
     assert (times[-1] / times[0]) ** 0.5 <= 2.5, times
     assert max(b / a for a, b in zip(peaks, peaks[1:])) <= 2.5, peaks
+
+
+def assert_round_trips_scale_linearly(texts: list[str]) -> None:
+    """Texts of doubling size parse and emit in linear time, the doubling
+    ratio taken over the whole range, and the tracemalloc peak of a
+    round trip at most doubles with each."""
+    parsed = [parse_dqdimacs(text).formula for text in texts]
+    for times in best_of_five(parse_dqdimacs, texts), best_of_five(emit_dqdimacs, parsed):
+        assert (times[-1] / times[0]) ** 0.5 <= 2.5, times
+    peaks = []
+    for text in texts:
+        tracemalloc.start()
+        try:
+            emit_dqdimacs(parse_dqdimacs(text).formula)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(b / a for a, b in zip(peaks, peaks[1:])) <= 2.5, peaks
+
+
+def test_one_long_clause_round_trips_in_linear_time_and_memory():
+    # one clause over every variable, signs alternating; the existentials
+    # depend on the one universal, so each `d` line emitted is short
+    sizes = (4000, 8000, 16000)
+    texts = [f"p cnf {n} 1\na 1 0\ne {' '.join(map(str, range(2, n + 1)))} 0\n"
+             + " ".join(str(v if v % 2 else -v) for v in range(1, n + 1)) + " 0\n"
+             for n in sizes]
+    for n, text in zip(sizes, texts):
+        assert [len(c) for c in parse_dqdimacs(text).formula.matrix] == [n]
+    assert_round_trips_scale_linearly(texts)
+
+
+def test_many_short_clause_lines_round_trip_in_linear_time_and_memory():
+    # one binary clause line per variable, a cycle of implications
+    sizes = (2500, 5000, 10000)
+    texts = [f"p cnf {n} {n}\ne {' '.join(map(str, range(1, n + 1)))} 0\n"
+             + "".join(f"{v} -{v % n + 1} 0\n" for v in range(1, n + 1))
+             for n in sizes]
+    for n, text in zip(sizes, texts):
+        assert len(parse_dqdimacs(text).formula.matrix) == n
+    assert_round_trips_scale_linearly(texts)
 
 
 def test_d_lines_sharing_one_set_keep_one_set():

@@ -176,7 +176,8 @@ SATISFIABLE = Dqbf(u_e(set(), {1: frozenset(), 2: frozenset()}), ((1, 2),))
     ("unit_propagate", lambda f: PropagationOutcome(
         False, Dqbf(f.prefix, ((1,), (-1,)))), SATISFIABLE, "up"),
     # every clause of an unsatisfiable formula eliminated
-    ("dqrat_eliminate_pass", lambda f: (Dqbf(f.prefix, ()), PassReport("dqrat")),
+    ("dqrat_eliminate_pass",
+     lambda f, kept=None: (Dqbf(f.prefix, ()), PassReport("dqrat")),
      Dqbf(SATISFIABLE.prefix, ((1,), (-1,))), "dqrat"),
 ], ids=["up-conflict", "up-unit", "up-result", "dqrat"])
 def test_verification_catches_a_broken_satisfiability_check(

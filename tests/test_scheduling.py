@@ -2,7 +2,8 @@
 to the same outputs and verdicts as the plain round loop kept in
 `reference_pipeline`, and only leaves out applications that return their
 input; each rule that settles a pass after a change holds on its own;
-and a run that stops before the round cap stops at a fixpoint."""
+the flags `dqrat` carries across a run change none of its answers; and
+a run that stops before the round cap stops at a fixpoint."""
 
 from itertools import product
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, formulas
+from conftest import chain, formulas, random_cnf
 from dqprep import (Dqbf, FuzzBounds, PASS_NAMES, PipelineConfig, Prefix,
                     Verdict, emit_dqdimacs, fuzz, parse_dqdimacs, run_pipeline)
+from dqprep import pipeline, techniques
 from dqprep.pipeline import _apply_pass
 from dqprep.reports import PassReport, merge_reports
 from reference_pipeline import reference_run_pipeline
@@ -149,6 +151,105 @@ def test_up_is_a_noop_on_its_own_result(formula):
     result = propagated(formula)
     if result is not None:
         assert is_noop("up", result)
+
+
+# -- the flags dqrat carries from one application to the next ---------------
+
+
+# After `vivify` shortens three clauses, `dqrat` deletes three and
+# shortens one, and the next round's other passes return their input.
+# The shortening makes one more clause redundant, which the second
+# sweep deletes only if the shortening cleared the flags of the clauses
+# the first sweep kept.
+SHORTENED_THEN_DELETED = """\
+p cnf 9 26
+a 1 0
+d 2 1 0
+d 3 1 0
+d 4 0
+d 5 1 0
+d 6 1 0
+d 7 1 0
+d 8 0
+d 9 0
+1 2 -6 -7 0
+-3 -4 -5 6 0
+1 7 -8 -9 0
+4 -5 -7 -9 0
+-5 -6 7 -9 0
+3 5 -6 -7 0
+2 3 4 -7 0
+-2 -3 4 9 0
+1 -3 -5 7 0
+4 6 8 -9 0
+-1 3 4 7 0
+5 -7 -8 -9 0
+-3 -5 7 -9 0
+3 6 7 -8 0
+1 2 -5 8 0
+2 5 7 8 0
+-2 3 -4 5 0
+-1 2 4 -9 0
+-1 -6 7 -8 0
+-3 -4 -6 -8 0
+-4 -5 7 -9 0
+-2 3 -5 8 0
+1 -5 -6 9 0
+-1 -3 4 8 0
+-2 3 4 9 0
+2 3 4 6 0
+"""
+
+
+def test_an_unchanged_formula_is_handed_on_itself():
+    # each pass returns an equal copy of (1 2), (-1 -2); the run goes on
+    # with its input, so no copy outlives the pass that made it
+    prefix = Prefix(frozenset(), {1: frozenset(), 2: frozenset()})
+    formula = Dqbf(prefix, ((1, 2), (-1, -2)))
+    passes = ("ur", "up", "vivify")
+    out, reports, verdict = run_pipeline(PipelineConfig(passes=passes), formula)
+    assert out is formula and verdict is Verdict.UNKNOWN
+    assert [r.name for r in reports] == list(passes)
+    assert not any(r.changed for r in reports)
+
+
+def test_a_shortening_sends_every_clause_back_to_dqrat():
+    formula = parse_dqdimacs(SHORTENED_THEN_DELETED).formula
+    assert_same_run(PipelineConfig(), formula)
+    out, reports, verdict = run_pipeline(PipelineConfig(), formula)
+    sweeps = [(r.clauses_removed, r.clauses_shortened)
+              for r in reports if r.name == "dqrat"]
+    assert sweeps == [(3, 1), (1, 0), (0, 0)]
+    assert verdict is Verdict.UNKNOWN and len(out.matrix) == 20
+
+
+def test_carried_flags_skip_clauses_and_change_no_run(monkeypatch):
+    # each `dqrat` application of a run sweeps once without the run's
+    # record and once with it: both must give the same formula and
+    # report, and the record must spare some checks over the stream
+    checks = [0]
+    check, sweep = techniques.dqrat_plus_check, pipeline.dqrat_eliminate_pass
+    spared = [0]
+
+    def counting_check(*args):
+        checks[0] += 1
+        return check(*args)
+
+    def both_sweeps(formula, kept=None):
+        start = checks[0]
+        plain = sweep(formula)
+        plain_checks = checks[0] - start
+        start = checks[0]
+        carried = sweep(formula, kept)
+        assert carried == plain
+        spared[0] += plain_checks - (checks[0] - start)
+        return carried
+
+    monkeypatch.setattr(techniques, "dqrat_plus_check", counting_check)
+    monkeypatch.setattr(pipeline, "dqrat_eliminate_pass", both_sweeps)
+    for formula in random_cnf(4, 600):
+        assert_same_run(PipelineConfig(), formula)
+    assert spared[0] > 0
 
 
 # -- a run that stops before the round cap stops at a fixpoint ---------------

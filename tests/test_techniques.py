@@ -18,7 +18,7 @@ from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
 from dqprep import techniques
 from dqprep.propagation import ClauseStore
 from dqprep.reports import PassReport
-from dqprep.techniques import DEFAULT_VIVIFY_BUDGET, _resolve
+from dqprep.techniques import DEFAULT_VIVIFY_BUDGET, _Kept, _resolve
 
 
 def flat(n):
@@ -703,6 +703,47 @@ def test_dqrat_pass_answers_as_without_a_base(monkeypatch, seed, bounds):
     without = [dqrat_eliminate_pass(f) for f in sample]
     assert with_base == without
     assert sum(report.changed for _, report in with_base) > 100
+
+
+def test_a_sweep_after_deletions_examines_only_their_partners(monkeypatch):
+    # with the record of a sweep that only deleted clauses, the next
+    # sweep examines a clause again only if a partner of it (a clause
+    # holding -l for some literal l of it) was deleted after it was
+    # examined; a clause is examined if some pivot of it is checked
+    examined = []
+    check = techniques.dqrat_plus_check
+
+    def noting_check(store, clause, pivot):
+        examined.append(clause)
+        return check(store, clause, pivot)
+
+    monkeypatch.setattr(techniques, "dqrat_plus_check", noting_check)
+    sweeps = spared = 0
+    for formula in fuzz(29, 400, FuzzBounds(4, 6, 14, 4)):
+        kept = _Kept()
+        first, report = dqrat_eliminate_pass(formula, kept)
+        if not report.clauses_removed or report.clauses_shortened:
+            continue
+        existentials = formula.prefix.existentials
+        depended = frozenset().union(*existentials.values())
+        pivoted = [clause for clause in first.matrix
+                   if any(abs(lit) in existentials or abs(lit) in depended
+                          for lit in clause)]
+        order = {clause: at for at, clause in enumerate(formula.matrix)}
+        deleted = [clause for clause in formula.matrix if clause not in first.matrix]
+        expected = {clause for clause in pivoted
+                    if any(order[gone] > order[clause]
+                           and any(-lit in gone for lit in clause)
+                           for gone in deleted)}
+        del examined[:]
+        second = dqrat_eliminate_pass(first, kept)
+        if not second[1].changed:
+            # a change would send its own partners back too
+            assert set(examined) == expected
+            sweeps += 1
+            spared += len(expected) < len(pivoted)
+        assert second == dqrat_eliminate_pass(first)
+    assert sweeps >= 100 and spared >= 20
 
 
 @given(formulas())
