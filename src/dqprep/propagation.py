@@ -19,7 +19,13 @@ pivot asks the private `ClauseStore._refutes_resolvents`, which holds
 the clause's negation as the base unless the pass holds it, checks
 each resolvent's literals against the base's trail, and hands those
 it leaves open to the private `ClauseStore._extends`, which propagates
-only what they add. The pass commits its rewrites to the store in place.
+only what they add. `vivify_clause` holds the negation of a growing
+subset of its clause as the base and grows it one literal at a time
+through the private `ClauseStore._grow`, which drains only the new
+literal while the abstraction stays the same and refuses a literal that
+would widen it, so the subset is then held afresh. `probe` and
+`based` compute the abstraction themselves, one lookup for a single
+literal. The pass commits its rewrites to the store in place.
 
 A clause handed to a public entry point is validated once, by
 `_checked`. A probe handed a Dqbf checks its clause and builds a store;
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .errors import CompatibilityError, ContractViolation
-from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix, dep,
+from .formula import (TAUTOLOGY, Canonical, Clause, Dqbf, Prefix,
                       is_compatible, normalize_clause)
 
 _NOTHING: frozenset[int] = frozenset()
@@ -177,8 +183,8 @@ class ClauseStore:
     `visits` counts the clauses propagation has examined over the
     store's lifetime, those settled by their counts without a scan
     included (see `_drain`). Inside `based`, the store holds a base
-    (assumptions, propagated on entry, whose trail `_extends` extends)
-    and must not be rewritten.
+    (assumptions, propagated on entry, whose trail `_extends` extends
+    and `_grow` grows) and must not be rewritten.
     """
 
     def __init__(self, formula: Dqbf) -> None:
@@ -349,9 +355,9 @@ class ClauseStore:
         3. The hidden status of a clause does not change during a
            propagation: a `hidden` block encloses a whole probe or base,
            or lies inside a base, where `_extends` pops what it processed
-           before the block ends. So every falsified existential literal
-           of a visible clause was taken off, on the visit its
-           processing made.
+           before the block ends and `_grow` is not called. So every
+           falsified existential literal of a visible clause was taken
+           off, on the visit its processing made.
 
         The count is width 255 at most, so a longer clause is only
         undercounted. With two or more non-false existential literals,
@@ -395,6 +401,26 @@ class ClauseStore:
         if self._base is not None:
             raise ContractViolation("a base is held; no probe may start")
 
+    def _dep(self, assumptions: tuple[int, ...]) -> frozenset[int]:
+        # dep(assumptions), as `formula.dep` gives it for literals over the
+        # prefix: a universal depends on itself, an existential carries its
+        # set. A single literal costs one lookup and an existential hands
+        # back the prefix's own set; more are a plain union.
+        get = self.prefix.existentials.get
+        if len(assumptions) == 1:
+            var = abs(assumptions[0])
+            deps = get(var)
+            return frozenset((var,)) if deps is None else deps
+        out: set[int] = set()
+        for lit in assumptions:
+            var = abs(lit)
+            deps = get(var)
+            if deps is None:
+                out.add(var)
+            else:
+                out |= deps
+        return frozenset(out)
+
     def probe(self, assumptions: Iterable[int]) -> tuple[bool, list[int]]:
         """Propagate the assumptions with every universal they may depend
         on abstracted (see `_propagate`), then unassign every processed
@@ -403,29 +429,58 @@ class ClauseStore:
         self._unheld()
         assumptions = tuple(assumptions)
         try:
-            return (self._propagate(assumptions, dep(self.prefix, assumptions)),
+            return (self._propagate(assumptions, self._dep(assumptions)),
                     self.trail[:])
         finally:
             self.true.clear()
             self.trail.clear()
 
-    @contextmanager
-    def based(self, assumptions: Iterable[int]) -> Iterator[None]:
-        """Hold the assumptions as a base inside the block: they propagate
-        on entry, as `probe` propagates them, and their trail stays on
-        the store, which `_extends` extends. The trail is empty again
+    def based(self, assumptions: Iterable[int]) -> _Based:
+        """Hold the assumptions as a base inside the `with` block, which is
+        given whether they conflict: they propagate on entry, as `probe`
+        propagates them, and their trail stays on the store, which
+        `_extends` extends and `_grow` grows. The trail is empty again
         when the block is left."""
-        self._unheld()
-        assumptions = tuple(assumptions)
-        abstracted = dep(self.prefix, assumptions)
-        try:
-            self._base = (frozenset(assumptions), abstracted,
-                          self._propagate(assumptions, abstracted))
-            yield
-        finally:
-            self._base = None
-            self.true.clear()
-            self.trail.clear()
+        return _Based(self, tuple(assumptions))
+
+    def _grow(self, literal: int) -> bool | None:
+        """Make the held base B the base B + (literal,), as `based` would
+        hold it, if the literal depends only on universals B may depend
+        on: whether the grown base conflicts. Only the literal and what it
+        implies are processed, and the trail and the counts of `_drain`
+        are kept. Otherwise None, with the base, its trail and its counts
+        as they were. B must not conflict, the literal must not be false
+        on B's trail, and no clause may be hidden or shown inside the
+        base before it is left (`_drain`, point 3).
+
+        1. With dep(l) inside dep(B), dep(B + l) = dep(B), and draining
+           l from B's trail answers as a fresh probe of B + l does
+           (`_extends`, points 1 and 2, with E = (l,): where l is already
+           true on the trail, nothing is processed and B + l has B's
+           assignment). A conflict ends the probe of the caller, which
+           reads no trail.
+        2. Without a conflict, the trail's set T equals the set T' of a
+           fresh probe's trail. Each trail is a derivation from B + l, and
+           each assignment meets the end conditions of `_extends`' point 1
+           for B + l, under which every derivation from B + l stays
+           inside it; so T lies in T' and T' in T. A literal goes on a
+           trail at most once, so
+           the two trails are as long, and `live`, which a propagation
+           lowers once per falsified existential literal of a visible
+           clause, reads as the fresh probe leaves it. The grown trail
+           is therefore a base's trail for B + l in every respect that
+           `_extends`, `_grow` and the readers of `trail` and `true`
+           use.
+        """
+        assumed, abstracted, conflict = self._base
+        var = abs(literal)
+        deps = self.prefix.existentials.get(var)
+        if not (var in abstracted if deps is None else deps <= abstracted):
+            return None
+        assert not conflict and -literal not in self.true
+        conflict = self._drain(deque((literal,)), frozenset((literal,)), abstracted)
+        self._base = (assumed | {literal}, abstracted, conflict)
+        return conflict
 
     def _extends(self, fresh: list[int]) -> bool:
         """Whether the held base B, extended by the literals E in `fresh`,
@@ -551,6 +606,35 @@ class ClauseStore:
             if c is not None and true.isdisjoint(c))
         return PropagationOutcome(False, Dqbf(prefix, survivors), true,
                                   len(trail))
+
+
+class _Based:
+    # the block `ClauseStore.based` returns; a class, since a generator's
+    # block costs about a microsecond more, and `vivify_clause` enters
+    # one per run of subsets with the same abstraction
+    __slots__ = ("store", "assumptions")
+
+    def __init__(self, store: ClauseStore, assumptions: tuple[int, ...]) -> None:
+        self.store = store
+        self.assumptions = assumptions
+
+    def __enter__(self) -> bool:
+        store, assumptions = self.store, self.assumptions
+        store._unheld()
+        abstracted = store._dep(assumptions)
+        try:
+            conflict = store._propagate(assumptions, abstracted)
+        except BaseException:
+            self.__exit__()
+            raise
+        store._base = (frozenset(assumptions), abstracted, conflict)
+        return conflict
+
+    def __exit__(self, *exc: object) -> None:
+        store = self.store
+        store._base = None
+        store.true.clear()
+        store.trail.clear()
 
 
 def unit_propagate(formula: Dqbf) -> PropagationOutcome:

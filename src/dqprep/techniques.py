@@ -6,19 +6,23 @@ propagates to a conflict. Lookahead probes both polarities of a
 variable and harvests forced literals, shared units, and variable
 equivalences. Redundancy elimination deletes a clause, or drops a
 universal literal from it, when every outer resolvent on a pivot
-propagates to a conflict. Each probe hands `ClauseStore.probe` only the
-literals it assumes; the store abstracts away the universals they may
-depend on, which is what keeps the conclusions sound under a
-dependency prefix.
+propagates to a conflict. Each probe hands the store only the literals
+it assumes; the store abstracts away the universals they may depend
+on, which is what keeps the conclusions sound under a dependency
+prefix.
 
 Each pass builds one ClauseStore from its input Dqbf, runs every probe
 on it with the clause under examination hidden, commits each rewrite in
 place (`ClauseStore.shorten`, `append`, `delete`) and exports a Dqbf at
-the end. Redundancy elimination also holds the negation of the hidden
-clause as the store's base while it tries the existential pivots: every
-outer resolvent on such a pivot extends that negation under the same
-abstraction, so the negation is propagated once per clause (see
-`dqrat_eliminate_pass`). Each such resolvent is answered from the
+the end. Vivification holds the negation of a growing subset of the
+hidden clause as the store's base (`ClauseStore.based`) and grows it by
+one literal per subset while the subset's dependency set stays the
+same, so such a run of subsets shares one propagation (see
+`vivify_clause`). Redundancy elimination also holds the negation of
+the hidden clause as the store's base while it tries the existential
+pivots: every outer resolvent on such a pivot extends that negation
+under the same abstraction, so the negation is propagated once per
+clause (see `dqrat_eliminate_pass`). Each such resolvent is answered from the
 base's trail without being built: its partner is walked once, and
 only the literals the trail leaves open are propagated (see
 `dqrat_plus_check`). The public probes take a Dqbf, whose clause or
@@ -81,6 +85,19 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
     means the subset alone already carries the clause's content; a
     fixpoint whose units contain one of the remaining literals pins that
     literal down. The budget caps total propagation steps.
+
+    The negated subset is held as the store's base (`ClauseStore.based`)
+    and grown by one negated literal per subset (`ClauseStore._grow`), so
+    each maximal run of subsets with the same dependency set is one base,
+    the first subset of the run propagated afresh and each later one
+    draining only its new literal. The seeded empty subset is a base
+    under the empty abstraction. A grown base answers every question a
+    fresh probe of its subset answers (`_grow`, points 1 and 2): whether
+    it conflicts, and without a conflict the trail's length, which the
+    budget counts, and its set, which the strengthening reads. A
+    conflict returns at once. A remaining literal true on the trail
+    returns one subset earlier, so the negated literal grown next is
+    never false on the base.
     """
     store, canon = _store_and_clause(formula, clause)
     cid = store.find(canon)
@@ -91,29 +108,33 @@ def vivify_clause(formula: Dqbf | ClauseStore, clause: Clause,
     # most frequent literal first, ties by variable id
     occurrences = store.occurrences
     order = sorted(canon, key=lambda lit: (-len(occurrences.get(lit, ())), abs(lit)))
+    negated = tuple([-lit for lit in order])
     steps_used = 0
     with store.hidden(cid):
         # the empty subset probes the matrix alone, which propagates only
         # from seeds: without a visible one it processes nothing, and its
         # answer is (False, [])
         seeded = any(store.clauses[seed] is not None for seed in store.seeds)
-        for size in range(len(canon)):
-            if steps_used >= budget:
-                return VivifyResult(VivifyKind.UNCHANGED)
-            if not size and not seeded:
-                continue
-            subset = order[:size]
-            conflict, units = store.probe([-lit for lit in subset])
-            steps_used += len(units)
-            if conflict:
-                return VivifyResult(VivifyKind.REPLACED, _sorted(subset))
-            if size + 1 == len(canon):
-                # the subset plus one literal would be the whole clause
-                break
-            for lit in order[size:]:
-                if lit in units:
-                    return VivifyResult(VivifyKind.STRENGTHENED,
-                                        _sorted(subset + [lit]))
+        size = 0 if seeded else 1
+        while steps_used < budget:
+            # one base per run of subsets with the same abstraction
+            with store.based(negated[:size]) as conflict:
+                while conflict is not None:
+                    if conflict:
+                        return VivifyResult(VivifyKind.REPLACED, _sorted(order[:size]))
+                    steps_used += len(store.trail)
+                    if size + 1 == len(canon):
+                        # the subset plus one literal would be the whole clause
+                        return VivifyResult(VivifyKind.UNCHANGED)
+                    true = store.true
+                    for lit in order[size:]:
+                        if lit in true:
+                            return VivifyResult(VivifyKind.STRENGTHENED,
+                                                _sorted(order[:size] + [lit]))
+                    size += 1
+                    if steps_used >= budget:
+                        break
+                    conflict = store._grow(negated[size - 1])
     return VivifyResult(VivifyKind.UNCHANGED)
 
 

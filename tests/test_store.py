@@ -1,7 +1,8 @@
 """The clause store behind every propagation: differential tests against
-the scan-based reference, the held base and the redundancy walk that
-extends its trail, rewrites in place, output hashes of the default
-schedule, and linear propagation on implication chains."""
+the scan-based reference, the held base, its growth by one literal that
+vivification uses and the redundancy walk that extends its trail,
+rewrites in place, output hashes of the default schedule, and linear
+propagation on implication chains."""
 
 import hashlib
 import json
@@ -11,17 +12,17 @@ from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqprep import (ContractViolation, Dqbf, FuzzBounds, KernelUndefined,
                     PipelineConfig, Prefix, TAUTOLOGY, dep, dqat_check,
                     dqrat_plus_check, emit_dqdimacs, fuzz, normalize_clause,
-                    outer_resolvent, run_pipeline)
+                    outer_resolvent, run_pipeline, vivify_clause)
 from dqprep import propagation
 from dqprep.propagation import ClauseStore, abstract
 from conftest import (WIDE, assert_based_checks_match, chain, counting_calls,
-                      formulas, partners, settled_on_base, u_e)
+                      formulas, partners, random_cnf, settled_on_base, u_e)
 from reference_propagation import scan_unit_propagate
 
 GOLDEN = Path(__file__).with_name("golden_fuzz_0_500.json")
@@ -410,9 +411,9 @@ def test_extension_on_the_base_trail_is_answered_without_draining(monkeypatch):
 
 def test_checks_under_a_base_they_cannot_use_are_refused():
     # `dqrat_plus_check` on an existential pivot under a base other than
-    # the clause's negation, and `dqat_check` under any base, the one a
-    # universal pivot's check makes included, raise ContractViolation
-    # and leave the trail where it was
+    # the clause's negation, and `dqat_check` and `vivify_clause` under
+    # any base, the one a universal pivot's check makes included, raise
+    # ContractViolation and leave the trail where it was
     formula = Dqbf(u_e({1, 2}, {3: frozenset({1}), 4: frozenset({2})}),
                    ((3, 4), (1, -3), (-1, 4), (-4, 3)))
     store = ClauseStore(formula)
@@ -420,6 +421,7 @@ def test_checks_under_a_base_they_cannot_use_are_refused():
         with store.based(base):
             trail = store.trail[:]
             checks = [lambda: dqat_check(store, (3, 4)),
+                      lambda: vivify_clause(store, (3, 4)),
                       lambda: dqrat_plus_check(store, (1, -3), 1)]
             if base != [-3, -4]:
                 checks.append(lambda: dqrat_plus_check(store, (3, 4), 3))
@@ -533,6 +535,123 @@ def test_base_propagates_on_entry(data):
                 if abs(pivot) in formula.prefix.existentials:
                     assert dqrat_plus_check(store, clause, pivot)
                     assert store.trail == trail
+
+
+@st.composite
+def bases(draw) -> tuple[Dqbf, list[int], list[int]]:
+    """A formula, a base of up to three literals over its variables, and
+    literals to grow it by: either the negation of part of a clause of
+    the matrix and the negations of the clause's other literals, as
+    `vivify_clause` grows its bases, or any literals."""
+    formula = draw(formulas(max_clauses=8))
+    variables = sorted(formula.prefix.variables)
+    assume(variables)
+    if formula.matrix and draw(st.booleans()):
+        negation = [-lit for lit in draw(st.sampled_from(formula.matrix))]
+        base = draw(st.lists(st.sampled_from(negation), unique=True, max_size=3))
+        return formula, base, [lit for lit in negation if lit not in base]
+    literals = [v * s for v in variables for s in (1, -1)]
+    return formula, draw(st.lists(st.sampled_from(literals), max_size=3)), literals
+
+
+def split(formula: Dqbf, base, literals) -> tuple[list[int], list[int]]:
+    # the literals whose dependencies lie inside the base's, and the rest
+    prefix = formula.prefix
+    inside = [lit for lit in literals if dep(prefix, lit) <= dep(prefix, base)]
+    return inside, [lit for lit in literals if lit not in inside]
+
+
+@given(bases(), st.data())
+@settings(max_examples=300)
+def test_grown_base_answers_as_a_fresh_probe(drawn, data):
+    # `_grow` by a literal whose dependencies lie inside the base's, where
+    # the base does not conflict and the literal is not false on its
+    # trail: the verdict of a fresh probe and of the scan reference;
+    # without a conflict, their trail's set and length, and the counts of
+    # a fresh base. The grown base is then held as `based` would hold it.
+    formula, base, literals = drawn
+    inside = split(formula, base, literals)[0]
+    assume(inside)
+    literal = data.draw(st.sampled_from(inside))
+    grown = base + [literal]
+    abstracted = dep(formula.prefix, base)
+    fresh = ClauseStore(formula)
+    expected = reference(formula, grown, abstracted)
+    store = ClauseStore(formula)
+    with store.based(base) as conflict:
+        if conflict or -literal in store.true:
+            return
+        got = store._grow(literal)
+        assert got == fresh.probe(grown)[0] == expected.conflict
+        assert store._base == (frozenset(grown), abstracted, got)
+        if not got:
+            assert_probe_matches((got, store.trail), expected)
+            with fresh.based(grown):
+                assert set(store.trail) == set(fresh.trail) == store.true
+                assert store.live == fresh.live
+    assert store.trail == [] and store.true == set()
+
+
+def test_grown_bases_answer_as_fresh_probes_on_random_stream():
+    # with a clause hidden, its negation split into a base and one more
+    # literal, as `vivify_clause` grows it: a grown base answers as a
+    # fresh probe of the whole does, with the trail's set and length and
+    # the counts of a fresh base, and a refused literal leaves the base
+    outcomes = Counter()
+    for formula in random_cnf(53, 150):
+        store = ClauseStore(formula)
+        for cid, clause in enumerate(formula.matrix):
+            negation = [-lit for lit in clause]
+            with store.hidden(cid):
+                for size in range(len(negation)):
+                    base, literal = negation[:size], negation[size]
+                    conflict, trail = store.probe(base + [literal])
+                    with store.based(base + [literal]):
+                        live = store.live[:]
+                    with store.based(base) as based:
+                        if based or -literal in store.true:
+                            continue
+                        held = (store._base, store.trail[:], store.live[:])
+                        got = store._grow(literal)
+                        outcomes[got] += 1
+                        if got is None:
+                            assert (store._base, store.trail, store.live) == held
+                        elif got:
+                            assert conflict
+                        else:
+                            assert not conflict and len(store.trail) == len(trail)
+                            assert store.true == set(trail) and store.live == live
+    # 137 conflicts, 652 fixpoints and 1,157 refusals
+    assert min(outcomes[True], outcomes[False], outcomes[None]) > 100
+
+
+@given(bases(), st.data())
+@settings(max_examples=100)
+def test_grow_refuses_a_literal_that_widens_the_abstraction(drawn, data):
+    formula, base, literals = drawn
+    outside = split(formula, base, literals)[1]
+    assume(outside)
+    literal = data.draw(st.sampled_from(outside))
+    store = ClauseStore(formula)
+    with store.based(base):
+        held = (store._base, store.trail[:], set(store.true), store.live[:])
+        assert store._grow(literal) is None
+        assert (store._base, store.trail, store.true, store.live) == held
+
+
+@given(formulas(), st.data())
+def test_store_abstracts_what_formula_dep_gives(formula, data):
+    # `probe` and `based` abstract dep(assumptions), `formula.dep` the
+    # reference, for none, one and several literals
+    variables = sorted(formula.prefix.variables)
+    assumptions = data.draw(st.lists(st.builds(
+        lambda v, s: v * s, st.sampled_from(variables),
+        st.sampled_from((1, -1))), max_size=4)) if variables else []
+    store = ClauseStore(formula)
+    expected = dep(formula.prefix, assumptions)
+    assert store._dep(tuple(assumptions)) == expected
+    with store.based(assumptions):
+        assert store._base[1] == expected
 
 
 def test_conflicting_base_refutes_every_extension():

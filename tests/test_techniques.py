@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_based_checks_match, formulas, partners,
-                      reference_dqrat_plus_check, settled_on_base, u_e)
+                      random_cnf, reference_dqrat_plus_check, settled_on_base,
+                      u_e)
 from dqprep import (CompatibilityError, ContractViolation, Dqbf, FuzzBounds,
-                    KernelUndefined, TAUTOLOGY, VivifyKind,
+                    KernelUndefined, TAUTOLOGY, VivifyKind, dep,
                     dqat_check, dqrat_eliminate_pass, dqrat_plus_check,
                     equisatisfiable, equivalent, fuzz, normalize_clause,
                     outer_resolvent,
@@ -121,8 +122,9 @@ def test_vivify_pass_preserves_equivalence_and_size(formula):
             <= sum(len(c) for c in formula.matrix))
 
 
-def probing_vivify_clause(store, clause, budget):
-    # `vivify_clause` on a store, probing every subset, the empty one too
+def probing_vivify_clause(store, clause, budget, probed=None):
+    # `vivify_clause` on a store, probing every subset, the empty one too,
+    # each noted in `probed` if given
     cid = store.find(clause)
     if len(clause) < 2:
         return None
@@ -134,6 +136,8 @@ def probing_vivify_clause(store, clause, budget):
             if steps_used >= budget:
                 return None
             subset = order[:size]
+            if probed is not None:
+                probed.append(subset)
             conflict, units = store.probe([-lit for lit in subset])
             steps_used += len(units)
             if conflict:
@@ -205,6 +209,59 @@ def test_vivify_probes_the_matrix_alone_only_with_a_visible_seed(monkeypatch):
     probed.clear()
     vivify_clause(Dqbf(prefix, cases[1]), (-2, 3, 4))
     assert probed[0] == ()
+
+
+def test_vivify_propagates_afresh_where_the_abstraction_grows():
+    # universal 1; 2 and 3 depend on it, 4 on nothing. With (1, -2, 3)
+    # hidden, (-1, -4) reduces to the seed (-4), so the empty subset
+    # propagates -4, and (1, -2, 4) stays open. The subset (1) abstracts
+    # 1, which leaves (-1, -4) open and -4 unassigned; (1, -2) then
+    # propagates 4 and no conflict. Growing the empty subset's trail by -1
+    # would keep -4, falsify (1, -2, 4) and shorten the clause to (1, -2).
+    formula = Dqbf(u_e({1}, {2: frozenset({1}), 3: frozenset({1}), 4: frozenset()}),
+                   ((1, -2, 3), (-1, -4), (1, -2, 4)))
+    assert vivify_pass(formula) == (formula, PassReport("vivify"))
+
+
+def test_vivify_pass_matches_probing_every_subset_under_every_budget():
+    # formulas larger than `formulas` draws, where subsets run longer
+    # and their abstractions grow more often
+    for formula in random_cnf(4, 300):
+        for budget in (0, 1, 2, 3, 5, DEFAULT_VIVIFY_BUDGET):
+            assert vivify_pass(formula, budget) == probing_vivify_pass(formula, budget)
+
+
+def test_vivify_propagates_once_per_abstraction(monkeypatch):
+    # a clause's probed subsets, the empty one only with a visible seed,
+    # propagate afresh once per distinct dependency set; each other subset
+    # grows the trail of the one before. Probing every subset afresh
+    # propagates once per subset.
+    fresh = []
+    propagate = ClauseStore._propagate
+
+    def noting_propagate(self, assumptions, abstracted):
+        fresh.append(assumptions)
+        return propagate(self, assumptions, abstracted)
+
+    monkeypatch.setattr(ClauseStore, "_propagate", noting_propagate)
+    subsets = abstractions = 0
+    for formula in random_cnf(9, 100):
+        store = ClauseStore(formula)
+        for cid, clause in enumerate(formula.matrix):
+            with store.hidden(cid):
+                seeded = any(store.clauses[s] is not None for s in store.seeds)
+            for budget in (3, DEFAULT_VIVIFY_BUDGET):
+                probed = []
+                expected = probing_vivify_clause(store, clause, budget, probed)
+                probed = [s for s in probed if s or seeded]
+                fresh.clear()
+                assert vivify_clause(store, clause, budget).new_clause == expected
+                distinct = {dep(formula.prefix, [-lit for lit in s]) for s in probed}
+                assert len(fresh) == len(distinct)
+                subsets += len(probed)
+                abstractions += len(distinct)
+    # 6,586 subsets under 6,334 abstractions
+    assert subsets - abstractions > 200
 
 
 # -- polarity lookahead -----------------------------------------------------
